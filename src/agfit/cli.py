@@ -32,7 +32,7 @@ from .errors import (
     SelfLoop,
 )
 from .fit import FitConfig, fit
-from .graph import AncestralGraph, read_graph_csv
+from .graph import AncestralGraph, read_graph_csv, read_matrix_csv
 from .mseparation import implied_pairwise_independences, is_maximal
 from .sim import run_scaling_experiment
 from .stats import SampleStats, chi_square_pvalue, empirical_covariance
@@ -102,62 +102,6 @@ def _build_parser() -> _Parser:
 
 
 # -- matrix file reading ------------------------------------------------------
-
-
-def _read_matrix_csv(path):
-    """Square numeric matrix with optional header row and label column.
-
-    Returns (labels or None, float matrix).
-    """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
-    if not rows:
-        raise GraphParseError(f"empty matrix file {path}")
-
-    def is_num(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    first = [c.strip() for c in rows[0]]
-    header = None
-    body = rows
-    body_start = 1
-    if not all(is_num(c) for c in first):
-        header = first
-        body = rows[1:]
-        body_start = 2
-        if not body:
-            raise GraphParseError("header row with no data rows", line=1)
-    row_labels = header is not None and not is_num(body[0][0].strip())
-
-    data = []
-    for r, row in enumerate(body, start=body_start):
-        cells = [c.strip() for c in row]
-        if row_labels:
-            cells = cells[1:]
-        vals = []
-        for c_idx, cell in enumerate(cells, start=(2 if row_labels else 1)):
-            if not is_num(cell):
-                raise GraphParseError(
-                    f"expected a number, found {cell!r}", line=r, column=c_idx
-                )
-            vals.append(float(cell))
-        data.append(vals)
-    n = len(data)
-    for r, row in enumerate(data):
-        if len(row) != n:
-            raise GraphParseError(
-                f"row has {len(row)} cells, expected {n}", line=body_start + r
-            )
-    labels = None
-    if header is not None:
-        labels = header[1:] if len(header) == n + 1 else header
-        if len(labels) != n:
-            raise GraphParseError(f"{len(labels)} labels for {n} columns", line=1)
-    return labels, np.array(data, dtype=float).reshape(n, n)
 
 
 def _read_data_csv(path):
@@ -353,7 +297,7 @@ def _cmd_fit(args, out) -> int:
 
     try:
         if args.cov is not None:
-            labels, matrix = _read_matrix_csv(args.cov)
+            labels, matrix = read_matrix_csv(args.cov, float)
             s = _align_to_graph(g, labels, matrix, axis="both")
             stats = SampleStats.from_covariance(s, args.n)
         else:

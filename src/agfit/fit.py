@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy import linalg
 
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .graph import AncestralGraph
 from .mseparation import is_maximal
-from .params import IndexMap, ParamSet, pseudo_variables, residuals
+from .params import IndexMap, ParamSet, _block_psi, _implied_sigma, _spd_inverse
 from .stats import SampleStats, degrees_of_freedom, deviance, log_likelihood
 
 
@@ -135,10 +134,7 @@ def fit_undirected_ipf(
     except linalg.LinAlgError:
         raise NotPositiveDefinite("s_un is not positive definite") from None
 
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(p))
-    nxg.add_edges_from(g_un.undirected_pairs)
-    cliques = sorted(sorted(c) for c in nx.find_cliques(nxg))
+    cliques = sorted(sorted(c) for c in _maximal_cliques(g_un))
 
     k = np.diag(1.0 / np.diag(s_un))
     all_idx = np.arange(p)
@@ -169,19 +165,41 @@ def fit_undirected_ipf(
     )
 
 
+def _maximal_cliques(g: AncestralGraph) -> list:
+    """Maximal cliques of the undirected edges: Bron-Kerbosch with pivoting.
+
+    Returns a list of vertex sets in no particular order; an isolated
+    vertex is a clique of its own.
+    """
+    found = []
+
+    def expand(clique, cand, excl):
+        if not cand and not excl:
+            found.append(clique)
+            return
+        pivot = max(cand | excl, key=lambda u: len(cand & g.ne(u)))
+        for v in list(cand - g.ne(pivot)):
+            expand(clique | {v}, cand & g.ne(v), excl & g.ne(v))
+            cand.remove(v)
+            excl.add(v)
+
+    expand(frozenset(), set(range(g.n)), set())
+    return found
+
+
 # -- single ICF update --------------------------------------------------------
 
 
 class _VertexPlan:
     """Precomputed index bookkeeping for the ICF update of one vertex."""
 
-    def __init__(self, g: AncestralGraph, i: int, disp: list, dpos: dict):
+    def __init__(self, g: AncestralGraph, i: int, disp_map: IndexMap):
         self.i = i
-        self.i_pos = dpos[i]
+        self.i_pos = disp_map.position(i)
         self.pa = sorted(g.pa(i))
         self.sp = sorted(g.sp(i))
-        self.m_v = [v for v in disp if v != i]
-        self.m_pos = [dpos[v] for v in self.m_v]
+        self.m_v = [v for v in disp_map.vertices if v != i]
+        self.m_pos = disp_map.positions(self.m_v)
         self.sp_sel = [self.m_v.index(s) for s in self.sp]
         self.q = len(self.pa) + len(self.sp)
 
@@ -256,13 +274,12 @@ def _icf_step_cov(
 def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
     """One ICF update of vertex ``i`` from a variables-by-cases data matrix.
 
-    Computes residuals with the current coefficients, forms the
-    pseudo-variables for the spouses of ``i``, regresses variable ``i``
-    on its parents and those pseudo-variables, and writes back the new
-    row of ``beta``, the new bidirected row and column of ``omega``, and
-    the new residual variance.  Rows are taken as centered: cross
-    products are used as they stand.  Returns a new parameter set; the
-    input is unchanged.
+    Regresses variable ``i`` on its parents and on the pseudo-variables
+    built from the current residuals of its spouses, and writes back the
+    new row of ``beta``, the new bidirected row and column of ``omega``,
+    and the new residual variance.  Rows are taken as centered: the
+    update uses the cross-product matrix ``y @ y.T / n`` as it stands.
+    Returns a new parameter set; the input is unchanged.
     """
     i = g._check_vertex(i)
     if i not in params.disp_map:
@@ -270,71 +287,52 @@ def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[0] != g.n:
         raise DimensionMismatch("y must have one row per vertex")
-    n_cases = y.shape[1]
-
-    pa = sorted(g.pa(i))
-    sp = sorted(g.sp(i))
     beta = params.beta.copy()
     omega = params.omega.copy()
-    disp = list(params.disp_map.vertices)
-    dpos = {v: k for k, v in enumerate(disp)}
-    i_pos = dpos[i]
-    m_v = [v for v in disp if v != i]
-    m_pos = [dpos[v] for v in m_v]
-
-    if not pa and not sp:
-        omega[i_pos, i_pos] = float(y[i] @ y[i]) / n_cases
-        return ParamSet(g, params.lam, beta, omega, params.un_map, params.disp_map)
-
-    eps = residuals(y, params.beta)
-    z = pseudo_variables(params, eps, i)
-    design = np.vstack([y[pa, :], z]) if pa else z
-    gram = design @ design.T / n_cases
-    moment = design @ y[i] / n_cases
-    try:
-        cho_g = linalg.cho_factor(0.5 * (gram + gram.T), lower=True)
-    except linalg.LinAlgError:
-        raise SingularDesign(
-            f"design for vertex {i} is numerically rank deficient"
-        ) from None
-    coef = linalg.cho_solve(cho_g, moment)
-
-    w_cond = float(y[i] @ y[i]) / n_cases - float(coef @ moment)
-    if w_cond <= 0:
-        raise SingularDesign(f"residual variance for vertex {i} collapsed to {w_cond}")
-
-    beta[i, :] = 0.0
-    if pa:
-        beta[i, pa] = coef[: len(pa)]
-    w_row = np.zeros(len(m_v))
-    quad = 0.0
-    if sp:
-        sp_sel = [m_v.index(v) for v in sp]
-        w_row[sp_sel] = coef[len(pa):]
-        omega_mm = params.omega[np.ix_(m_pos, m_pos)]
-        quad = float(
-            w_row
-            @ linalg.cho_solve(linalg.cho_factor(omega_mm, lower=True), w_row)
-        )
-    omega[i_pos, m_pos] = w_row
-    omega[m_pos, i_pos] = w_row
-    omega[i_pos, i_pos] = w_cond + quad
+    _icf_step_cov(y @ y.T / y.shape[1], beta, omega, _VertexPlan(g, i, params.disp_map))
     return ParamSet(g, params.lam, beta, omega, params.un_map, params.disp_map)
 
 
 # -- full fit -----------------------------------------------------------------
 
 
-def _assemble_sigma(n, un, disp, psi_un, omega, beta) -> np.ndarray:
-    psi_m = np.zeros((n, n))
-    if un:
-        psi_m[np.ix_(un, un)] = psi_un
-    if disp:
-        psi_m[np.ix_(disp, disp)] = omega
-    a = np.eye(n) - beta
-    x = np.linalg.solve(a, psi_m)
-    sigma = np.linalg.solve(a, x.T).T
-    return 0.5 * (sigma + sigma.T)
+def _check_dimension(g: AncestralGraph, stats: SampleStats) -> None:
+    if stats.p != g.n:
+        raise DimensionMismatch(
+            f"sample dimension {stats.p} does not match graph order {g.n}"
+        )
+
+
+class _Blocks:
+    """Undirected/arrowhead split of a fit with its fixed undirected part.
+
+    Shared by the iterative and the closed-form fit: fits ``lam`` by the
+    configured lambda stage, and assembles the implied covariance and the
+    final result from the arrowhead parameters.
+    """
+
+    def __init__(self, g: AncestralGraph, s: np.ndarray, config: FitConfig):
+        self.un = sorted(g.un_vertices)
+        self.disp = sorted(set(range(g.n)) - g.un_vertices)
+        self.un_map = IndexMap(tuple(self.un))
+        self.disp_map = IndexMap(tuple(self.disp))
+        self.lam = _lambda_stage(g, s, self.un, config)
+        self.psi_un = _spd_inverse(self.lam, "lam") if self.un else np.zeros((0, 0))
+
+    def sigma(self, beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        psi_m = _block_psi(beta.shape[0], self.un, self.disp, self.psi_un, omega)
+        return _implied_sigma(beta, psi_m)
+
+    def result(self, g, stats, beta, omega, sigma, iterations, converged, logliks):
+        return FitResult(
+            sigma_hat=sigma,
+            params=ParamSet(g, self.lam, beta, omega, self.un_map, self.disp_map),
+            deviance=deviance(sigma, stats),
+            df=degrees_of_freedom(g),
+            iterations=iterations,
+            converged=converged,
+            logliks=tuple(logliks),
+        )
 
 
 def _lambda_stage(g, s, un, config) -> np.ndarray:
@@ -367,37 +365,25 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     ``config.maximality_limit`` vertices unless explicitly requested.
     """
     config = config or FitConfig()
-    if stats.p != g.n:
-        raise DimensionMismatch(
-            f"sample dimension {stats.p} does not match graph order {g.n}"
-        )
+    _check_dimension(g, stats)
     check = config.check_maximality
     if check is None:
         check = g.n <= config.maximality_limit
     if check and not is_maximal(g, max_vertices=config.maximality_limit):
         raise NotMaximal("graph has an inseparable non-adjacent pair; complete it first")
 
-    un = sorted(g.un_vertices)
-    disp = sorted(set(range(g.n)) - g.un_vertices)
     s = stats.s
-    lam = _lambda_stage(g, s, un, config)
-    psi_un = (
-        linalg.cho_solve(linalg.cho_factor(lam, lower=True), np.eye(len(un)))
-        if un
-        else np.zeros((0, 0))
-    )
-
-    dpos = {v: k for k, v in enumerate(disp)}
-    plans = [_VertexPlan(g, i, disp, dpos) for i in disp]
+    blocks = _Blocks(g, s, config)
+    disp = blocks.disp
+    plans = [_VertexPlan(g, i, blocks.disp_map) for i in disp]
     rng = np.random.default_rng(config.seed)
 
     best = None
     for run in range(config.restarts + 1):
+        beta0 = np.zeros((g.n, g.n))
         if run == 0:
-            beta0 = np.zeros((g.n, g.n))
             omega0 = np.diag(s[disp, disp]) if disp else np.zeros((0, 0))
         else:
-            beta0 = np.zeros((g.n, g.n))
             for tail, head in g.directed_pairs:
                 beta0[head, tail] = rng.normal(0.0, 0.5)
             omega0 = (
@@ -405,24 +391,24 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
                 if disp
                 else np.zeros((0, 0))
             )
-        result = _run_icf(g, stats, lam, psi_un, beta0, omega0, un, disp, plans, config)
+        result = _run_icf(g, stats, blocks, beta0, omega0, plans, config)
         if best is None or result.logliks[-1] > best.logliks[-1]:
             best = result
     return best
 
 
-def _run_icf(g, stats, lam, psi_un, beta, omega, un, disp, plans, config) -> FitResult:
+def _run_icf(g, stats, blocks, beta, omega, plans, config) -> FitResult:
     s = stats.s
-    sigma = _assemble_sigma(g.n, un, disp, psi_un, omega, beta)
+    sigma = blocks.sigma(beta, omega)
     logliks = [log_likelihood(sigma, stats)]
     iterations = 0
-    converged = not disp
+    converged = not plans
     for cycle in range(1, config.max_cycles + 1):
-        if not disp:
+        if not plans:
             break
         for plan in plans:
             _icf_step_cov(s, beta, omega, plan)
-        new_sigma = _assemble_sigma(g.n, un, disp, psi_un, omega, beta)
+        new_sigma = blocks.sigma(beta, omega)
         logliks.append(log_likelihood(new_sigma, stats))
         delta = float(np.max(np.abs(new_sigma - sigma)))
         sigma = new_sigma
@@ -430,20 +416,7 @@ def _run_icf(g, stats, lam, psi_un, beta, omega, un, disp, plans, config) -> Fit
         if delta < config.tolerance:
             converged = True
             break
-
-    params = ParamSet(
-        g, lam.copy(), beta.copy(), omega.copy(),
-        IndexMap(tuple(un)), IndexMap(tuple(disp)),
-    )
-    return FitResult(
-        sigma_hat=sigma,
-        params=params,
-        deviance=deviance(sigma, stats),
-        df=degrees_of_freedom(g),
-        iterations=iterations,
-        converged=converged,
-        logliks=tuple(logliks),
-    )
+    return blocks.result(g, stats, beta, omega, sigma, iterations, converged, logliks)
 
 
 def fit_dag_closed_form(
@@ -459,23 +432,12 @@ def fit_dag_closed_form(
     config = config or FitConfig()
     if g.bidirected_pairs:
         raise ValueError("closed form requires a graph without bidirected edges")
-    if stats.p != g.n:
-        raise DimensionMismatch(
-            f"sample dimension {stats.p} does not match graph order {g.n}"
-        )
-    un = sorted(g.un_vertices)
-    disp = sorted(set(range(g.n)) - g.un_vertices)
+    _check_dimension(g, stats)
     s = stats.s
-    lam = _lambda_stage(g, s, un, config)
-    psi_un = (
-        linalg.cho_solve(linalg.cho_factor(lam, lower=True), np.eye(len(un)))
-        if un
-        else np.zeros((0, 0))
-    )
-
+    blocks = _Blocks(g, s, config)
     beta = np.zeros((g.n, g.n))
-    omega = np.zeros((len(disp), len(disp)))
-    for pos, i in enumerate(disp):
+    omega = np.zeros((len(blocks.disp), len(blocks.disp)))
+    for pos, i in enumerate(blocks.disp):
         pa = sorted(g.pa(i))
         if pa:
             spp = s[np.ix_(pa, pa)]
@@ -491,14 +453,7 @@ def fit_dag_closed_form(
         else:
             omega[pos, pos] = s[i, i]
 
-    sigma = _assemble_sigma(g.n, un, disp, psi_un, omega, beta)
-    params = ParamSet(g, lam, beta, omega, IndexMap(tuple(un)), IndexMap(tuple(disp)))
-    return FitResult(
-        sigma_hat=sigma,
-        params=params,
-        deviance=deviance(sigma, stats),
-        df=degrees_of_freedom(g),
-        iterations=1,
-        converged=True,
-        logliks=(log_likelihood(sigma, stats),),
+    sigma = blocks.sigma(beta, omega)
+    return blocks.result(
+        g, stats, beta, omega, sigma, 1, True, [log_likelihood(sigma, stats)]
     )

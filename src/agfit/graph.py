@@ -379,32 +379,35 @@ class AncestralGraph:
 # -- CSV round trip ----------------------------------------------------------
 
 
-def _is_int(cell: str) -> bool:
+def _parses(cell: str, cell_type) -> bool:
     try:
-        int(cell)
+        cell_type(cell)
         return True
     except ValueError:
         return False
 
 
-def read_graph_csv(path) -> AncestralGraph:
-    """Read an adjacency matrix CSV.
+def read_matrix_csv(path, cell_type):
+    """Square matrix CSV with an optional header row and label column.
 
-    Accepts a plain integer matrix, a matrix with a header row of labels,
-    or a matrix with both a header row and a label column (the corner cell
-    is then ignored).  Raises :class:`GraphParseError` with a line and
-    column for malformed input, and the adjacency coding errors otherwise.
+    ``cell_type`` (``int`` or ``float``) converts each cell.  The first row
+    is a header when one of its cells does not convert.  A header is
+    followed by a label column when its corner cell is empty and the first
+    data row is as long as the header (labels may then look numeric), or
+    when the first cell of the first data row does not convert; the corner
+    cell is ignored.  Returns ``(labels or None, matrix)``; malformed input
+    raises :class:`GraphParseError` with a line and column.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
-        raise GraphParseError("empty graph file")
+        raise GraphParseError(f"empty matrix file {path}")
 
     first = [c.strip() for c in rows[0]]
     header = None
     body = rows
     body_start = 1
-    if not all(_is_int(c) for c in first):
+    if not all(_parses(c, cell_type) for c in first):
         header = first
         body = rows[1:]
         body_start = 2
@@ -416,7 +419,7 @@ def read_graph_csv(path) -> AncestralGraph:
         # an empty corner cell marks a label column even when labels look numeric
         if header[0] == "" and len(first_body) == len(header):
             row_labels = True
-        elif not _is_int(first_body[0]):
+        elif not _parses(first_body[0], cell_type):
             row_labels = True
 
     data = []
@@ -426,11 +429,11 @@ def read_graph_csv(path) -> AncestralGraph:
             cells = cells[1:]
         vals = []
         for c_idx, cell in enumerate(cells, start=(2 if row_labels else 1)):
-            if not _is_int(cell):
+            if not _parses(cell, cell_type):
                 raise GraphParseError(
-                    f"expected an integer cell, found {cell!r}", line=r, column=c_idx
+                    f"cannot read {cell!r} as {cell_type.__name__}", line=r, column=c_idx
                 )
-            vals.append(int(cell))
+            vals.append(cell_type(cell))
         data.append(vals)
 
     n = len(data)
@@ -448,7 +451,20 @@ def read_graph_csv(path) -> AncestralGraph:
             labels = header
         else:
             raise GraphParseError(f"{len(header)} header cells for {n} columns", line=1)
-    return AncestralGraph.from_adjacency(np.array(data, dtype=int).reshape(n, n), labels=labels)
+    return labels, np.array(data, dtype=cell_type).reshape(n, n)
+
+
+def read_graph_csv(path) -> AncestralGraph:
+    """Read an adjacency matrix CSV.
+
+    Accepts a plain integer matrix, a matrix with a header row of labels,
+    or a matrix with both a header row and a label column (the corner cell
+    is then ignored); see :func:`read_matrix_csv`.  Raises
+    :class:`GraphParseError` with a line and column for malformed input,
+    and the adjacency coding errors otherwise.
+    """
+    labels, adjacency = read_matrix_csv(path, int)
+    return AncestralGraph.from_adjacency(adjacency, labels=labels)
 
 
 def write_graph_csv(g: AncestralGraph, path) -> None:

@@ -151,14 +151,19 @@ def psi(params: ParamSet) -> np.ndarray:
     The undirected block carries the covariance-scale inverse of ``lam``;
     the two blocks are uncorrelated.
     """
-    g = params.graph
-    out = np.zeros((g.n, g.n))
     un = list(params.un_map.vertices)
-    disp = list(params.disp_map.vertices)
+    psi_un = _spd_inverse(params.lam, "lam") if un else np.zeros((0, 0))
+    return _block_psi(
+        params.graph.n, un, list(params.disp_map.vertices), psi_un, params.omega
+    )
+
+
+def _block_psi(n, un, disp, psi_un, omega) -> np.ndarray:
+    out = np.zeros((n, n))
     if un:
-        out[np.ix_(un, un)] = _spd_inverse(params.lam, "lam")
+        out[np.ix_(un, un)] = psi_un
     if disp:
-        out[np.ix_(disp, disp)] = params.omega
+        out[np.ix_(disp, disp)] = omega
     return out
 
 
@@ -171,27 +176,24 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def build_sigma(params: ParamSet) -> np.ndarray:
-    """Implied covariance matrix of the model at these parameters."""
-    g = params.graph
-    a = np.eye(g.n) - params.beta
-    psi_m = psi(params)
-    try:
-        x = np.linalg.solve(a, psi_m)
-        sigma = np.linalg.solve(a, x.T).T
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("I - beta is singular") from None
+def _implied_sigma(beta: np.ndarray, psi_m: np.ndarray) -> np.ndarray:
+    """``inv(I - beta) @ psi_m @ inv(I - beta).T``, symmetrized.
+
+    Raises ``numpy.linalg.LinAlgError`` when ``I - beta`` is singular.
+    """
+    a = np.eye(beta.shape[0]) - beta
+    x = np.linalg.solve(a, psi_m)
+    sigma = np.linalg.solve(a, x.T).T
     return 0.5 * (sigma + sigma.T)
 
 
-def residuals(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Residual transform ``(I - beta) @ y`` of a variables-by-cases matrix."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or beta.shape != (y.shape[0], y.shape[0]):
-        raise DimensionMismatch(
-            f"data {y.shape} incompatible with beta {np.shape(beta)}"
-        )
-    return (np.eye(y.shape[0]) - beta) @ y
+def build_sigma(params: ParamSet) -> np.ndarray:
+    """Implied covariance matrix of the model at these parameters."""
+    psi_m = psi(params)
+    try:
+        return _implied_sigma(params.beta, psi_m)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("I - beta is singular") from None
 
 
 def conditional_variance(params: ParamSet, i) -> float:
@@ -213,33 +215,3 @@ def conditional_variance(params: ParamSet, i) -> float:
     except linalg.LinAlgError:
         raise SingularMatrix("omega[-i, -i] is not positive definite") from None
     return float(w_ii - w_ri @ linalg.cho_solve(c, w_ri))
-
-
-def pseudo_variables(params: ParamSet, eps: np.ndarray, i) -> np.ndarray:
-    """Covariates standing in for the spouses of ``i`` in its regression.
-
-    Rows of ``inv(omega[-i, -i])`` indexed by the spouses of ``i``, applied
-    to the residual rows of the arrowhead block without ``i``.  Returns an
-    array of shape (number of spouses, cases), spouse rows in ascending
-    vertex order.
-    """
-    g = params.graph
-    if i not in params.disp_map:
-        raise ValueError(f"vertex {i} is not in the arrowhead block")
-    if eps.ndim != 2 or eps.shape[0] != g.n:
-        raise DimensionMismatch("eps must have one row per vertex")
-    sp = sorted(g.sp(i))
-    rest_v = [v for v in params.disp_map.vertices if v != i]
-    rest_pos = params.disp_map.positions(rest_v)
-    if not sp:
-        return np.zeros((0, eps.shape[1]))
-    omega_rr = params.omega[np.ix_(rest_pos, rest_pos)]
-    sel = np.zeros((len(rest_v), len(sp)))
-    for col, s in enumerate(sp):
-        sel[rest_v.index(s), col] = 1.0
-    try:
-        c = linalg.cho_factor(omega_rr, lower=True)
-    except linalg.LinAlgError:
-        raise SingularMatrix("omega[-i, -i] is not positive definite") from None
-    rows = linalg.cho_solve(c, sel).T
-    return rows @ eps[rest_v, :]

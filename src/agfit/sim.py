@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import NotPositiveDefinite
+from .errors import AgfitError, NotPositiveDefinite
 from .fit import FitConfig, FitResult, fit
 from .graph import AncestralGraph
 from .stats import empirical_covariance
@@ -171,8 +171,9 @@ def run_scaling_experiment(
     from the cycle covariance and fits the matching bidirected cycle
     graph.  Each (p, replicate) cell gets its own generator seeded with
     ``(seed, p, replicate)``, so any cell can be reproduced in isolation
-    and results do not depend on execution order.  Exceptions from a fit
-    are counted as convergence failures.
+    and results do not depend on execution order.  A fit that raises an
+    :class:`AgfitError` or a ``numpy.linalg.LinAlgError`` is counted as a
+    convergence failure; any other exception is a bug and propagates.
 
     The maximality precondition holds by construction (a bidirected-only
     graph admits the empty separating set for every non-adjacent pair),
@@ -206,7 +207,7 @@ def run_scaling_experiment(
                         deviance=res.deviance,
                     )
                 )
-            except Exception:
+            except (AgfitError, np.linalg.LinAlgError):
                 elapsed = time.process_time() - t0
                 rows.append(
                     ReplicateResult(

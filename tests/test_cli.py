@@ -131,6 +131,23 @@ class TestFitText:
         )
         assert rc == 1
 
+    def test_cov_with_numeric_labels(self, capsys, tmp_path):
+        # empty corner cell and numeric labels, the layout `check` accepts
+        gpath = tmp_path / "chain.csv"
+        gpath.write_text(",0,1,2\n0,0,1,0\n1,1,0,1\n2,0,1,0\n")
+        cpath = tmp_path / "cov.csv"
+        cpath.write_text(",0,1,2\n0,2.0,0.6,0.3\n1,0.6,1.5,0.5\n2,0.3,0.5,1.2\n")
+        rc, out, err = run(
+            capsys, "fit", "--graph", str(gpath), "--cov", str(cpath), "--n", "50",
+            "--format", "json",
+        )
+        assert rc == 0, err
+        s = np.array([[2.0, 0.6, 0.3], [0.6, 1.5, 0.5], [0.3, 0.5, 1.2]])
+        want = s.copy()
+        # the chain 0 - 1 - 2 matches s except at the missing edge
+        want[0, 2] = want[2, 0] = s[0, 1] * s[1, 2] / s[1, 1]
+        np.testing.assert_allclose(json.loads(out)["sigma_hat"], want, atol=1e-6)
+
 
 class TestFitJson:
     def _fit_json(self, capsys, *extra):

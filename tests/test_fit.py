@@ -1,5 +1,6 @@
 """Likelihood maximization: IPF, single conditional steps, and full fits."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from agfit import (
     moth_stats,
 )
 from agfit.errors import NotMaximal, NotPositiveDefinite
+from agfit.fit import _maximal_cliques
 
 
 def _stats(s, n=40):
@@ -73,6 +75,22 @@ class TestIpf:
         want = s.copy()
         want[0, 2] = want[2, 0] = s[0, 1] * s[1, 2] / s[1, 1]
         np.testing.assert_allclose(sigma, want, atol=1e-8)
+
+    def test_cliques_match_networkx(self):
+        rng = np.random.default_rng(163)
+        for trial in range(60):
+            p = int(rng.integers(1, 13))
+            density = rng.uniform(0.1, 0.9)
+            pairs = [
+                (i, j) for i in range(p) for j in range(i + 1, p)
+                if rng.random() < density
+            ]
+            g = AncestralGraph(p, undirected=pairs)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(p))
+            nxg.add_edges_from(pairs)
+            want = sorted(sorted(c) for c in nx.find_cliques(nxg))
+            assert sorted(sorted(c) for c in _maximal_cliques(g)) == want
 
     def test_not_positive_definite_rejected(self):
         g = AncestralGraph(2, undirected=[(0, 1)])

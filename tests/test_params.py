@@ -10,9 +10,7 @@ from agfit import (
     build_sigma,
     conditional_variance,
     m_separated,
-    pseudo_variables,
     psi,
-    residuals,
 )
 from agfit.errors import DimensionMismatch, NotPositiveDefinite
 from agfit.params import IndexMap
@@ -144,19 +142,6 @@ class TestBuildSigma:
         np.testing.assert_allclose(build_sigma(pm), np.linalg.inv(lam), atol=1e-12)
 
 
-class TestResiduals:
-    def test_removes_parent_contribution(self, mixed5):
-        rng = np.random.default_rng(47)
-        beta = np.zeros((5, 5))
-        beta[2, 1] = 0.7
-        beta[4, 2] = -0.3
-        y = rng.standard_normal((5, 8))
-        eps = residuals(y, beta)
-        np.testing.assert_allclose(eps[2], y[2] - 0.7 * y[1], atol=1e-12)
-        np.testing.assert_allclose(eps[4], y[4] + 0.3 * y[2], atol=1e-12)
-        np.testing.assert_allclose(eps[0], y[0], atol=1e-12)
-
-
 class TestConditionalVariance:
     def test_two_spouse_formula(self):
         g = AncestralGraph(2, bidirected=[(0, 1)])
@@ -187,37 +172,6 @@ class TestConditionalVariance:
                     om[np.ix_(others, others)], om[others, k]
                 )
                 assert conditional_variance(pm, v) == pytest.approx(want, abs=1e-9)
-
-
-class TestPseudoVariables:
-    def test_regression_identity(self):
-        # conditional mean of eps_i given all other residuals equals the
-        # omega row applied to the pseudo variables
-        rng = np.random.default_rng(59)
-        for _ in range(20):
-            g = oracles.random_ancestral_graph(rng, 6)
-            pm = oracles.random_params(g, rng)
-            disp = sorted(set(range(6)) - g.un_vertices)
-            eps = rng.standard_normal((6, 12))
-            for v in disp:
-                sp = sorted(g.sp(v))
-                if not sp:
-                    continue
-                z = pseudo_variables(pm, eps, v)
-                assert z.shape == (len(sp), 12)
-                k = pm.disp_map.position(v)
-                others = [t for t in range(len(disp)) if t != k]
-                om = pm.omega
-                coef = np.linalg.solve(om[np.ix_(others, others)], om[others, k])
-                eps_disp = eps[disp]
-                want = coef @ eps_disp[others]
-                got = om[k, [pm.disp_map.position(s) for s in sp]] @ z
-                np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_requires_full_rows(self, mixed5):
-        pm = ParamSet.for_graph(mixed5)
-        with pytest.raises(DimensionMismatch):
-            pseudo_variables(pm, np.zeros((3, 4)), 2)
 
 
 class TestMarkovProperty:

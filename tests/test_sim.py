@@ -19,7 +19,8 @@ from agfit import (
     run_scaling_experiment,
     sample_mvn,
 )
-from agfit.errors import NotPositiveDefinite
+from agfit import sim
+from agfit.errors import NotPositiveDefinite, SingularDesign
 
 
 class TestCycleCovariance:
@@ -184,6 +185,23 @@ class TestScalingExperiment:
             for j in range(i + 1, p):
                 if j - i != 1 and not (i == 0 and j == p - 1):
                     assert om[i, j] == 0.0
+
+    def test_numerical_failure_is_counted(self, monkeypatch):
+        def failing_fit(*args):
+            raise SingularDesign("design collapsed")
+
+        monkeypatch.setattr(sim, "fit", failing_fit)
+        report = run_scaling_experiment([5], replicates=2, seed=0)
+        assert report.failures == 2
+        assert all(r.iterations == 0 and np.isnan(r.deviance) for r in report.rows)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_fit(*args):
+            raise TypeError("bug in the fit")
+
+        monkeypatch.setattr(sim, "fit", broken_fit)
+        with pytest.raises(TypeError, match="bug in the fit"):
+            run_scaling_experiment([5], replicates=1, seed=0)
 
     def test_replicate_validation(self):
         with pytest.raises(ValueError):
