@@ -7,6 +7,9 @@ edge kinds, checking the ancestral conditions, splitting it into its
 undirected and directed/bidirected parts, and querying m-separation.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from agfit import (
@@ -94,8 +97,10 @@ print("now maximal:", is_maximal(h_max))
 # Graphs round trip through a small CSV adjacency format.  Codes:
 # a[i,j] = a[j,i] = 1 for i - j, a[i,j] = a[j,i] = 2 for i <-> j, and
 # a[i,j] = 1 with a[j,i] = 0 for i -> j.
-write_graph_csv(g, "demo_graph.csv")
-g_back = read_graph_csv("demo_graph.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_graph.csv")
+    write_graph_csv(g, path)
+    g_back = read_graph_csv(path)
 print("round trip equal:", g_back == g)
 
 # The same encoding as a dense matrix, for interop with array code.

@@ -9,6 +9,9 @@ them, and measures how many cycles the fitter needs as the vertex count
 grows.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from agfit import (
@@ -59,8 +62,11 @@ for row in report.summaries():
 # Iteration counts stay flat in p: the coupling around the loop is
 # local, so a handful of cycles suffices at every size.
 
-# Raw per-replicate rows go to CSV for plotting elsewhere.
-report.to_csv("scaling_rows.csv")
-with open("scaling_rows.csv") as fh:
-    for line in [next(fh) for _ in range(3)]:
-        print(line.rstrip())
+# Raw per-replicate rows go to CSV for plotting elsewhere; this demo
+# writes the file to a temporary directory and shows its first lines.
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "scaling_rows.csv")
+    report.to_csv(path)
+    with open(path) as fh:
+        for line in [next(fh) for _ in range(3)]:
+            print(line.rstrip())

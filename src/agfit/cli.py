@@ -7,6 +7,8 @@ Exit codes
 * ``fit``: 0 converged, 1 not converged, 3 unparseable file,
   4 label mismatch or bad flags.
 * ``simulate``: 0 no convergence failures, 1 otherwise, 4 bad flags.
+* any command: 1 when standard output is closed before all output is
+  written (for example piped into ``head``); nothing is printed.
 
 ``AGFIT_TOL`` and ``AGFIT_MAX_CYCLES`` override the built-in defaults of
 ``--tol`` and ``--max-cycles``.
@@ -358,13 +360,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         out = sys.stdout
         if args.command == "check":
-            return _cmd_check(args, out)
-        if args.command == "fit":
-            return _cmd_fit(args, out)
-        return _cmd_simulate(args, out)
+            rc = _cmd_check(args, out)
+        elif args.command == "fit":
+            rc = _cmd_fit(args, out)
+        else:
+            rc = _cmd_simulate(args, out)
+        out.flush()
+        return rc
     except _FlagError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # The reader closed standard output.  Point its descriptor at
+        # devnull so the interpreter's own flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

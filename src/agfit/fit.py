@@ -14,6 +14,14 @@ likelihood never decreases.
 Everything here works from the sample covariance: every regression in
 the ICF update can be expressed through cross products of linear
 combinations of the variables, so raw data are never required.
+
+The pseudo-variables of a vertex need inv(omega[-i, -i]).  ICF keeps
+inv(omega) current instead of factorizing that block at every step: the
+spouse rows are read off the maintained inverse and the vertex's new row
+of omega is folded back by a rank-2 update.  A vertex step with q parents
+and spouses therefore costs O(q p^2), and a cycle over a graph of bounded
+degree O(p^3) rather than O(p^4).  The inverse is formed afresh from
+omega at the start of every cycle, which bounds rounding drift.
 """
 
 from __future__ import annotations
@@ -198,49 +206,50 @@ class _VertexPlan:
         self.i_pos = disp_map.position(i)
         self.pa = sorted(g.pa(i))
         self.sp = sorted(g.sp(i))
-        self.m_v = [v for v in disp_map.vertices if v != i]
-        self.m_pos = disp_map.positions(self.m_v)
-        self.sp_sel = [self.m_v.index(s) for s in self.sp]
+        self.sp_pos = disp_map.positions(self.sp)
+        self.disp = np.asarray(disp_map.vertices, dtype=int)
         self.q = len(self.pa) + len(self.sp)
 
 
-def _icf_step_cov(
-    s: np.ndarray, beta: np.ndarray, omega: np.ndarray, plan: _VertexPlan
+def _icf_step(
+    s: np.ndarray,
+    beta: np.ndarray,
+    omega: np.ndarray,
+    k_inv: np.ndarray,
+    plan: _VertexPlan,
 ) -> None:
-    """One conditional maximization, updating ``beta`` and ``omega`` in place.
+    """One conditional maximization, updating ``beta``, ``omega`` and
+    ``k_inv = inv(omega)`` in place.
 
     Works from the sample covariance: the regression of the vertex on its
     parents and pseudo-variables reduces to normal equations in ``C s C.T``
     where the rows of C are the coefficient vectors of the covariates as
-    linear combinations of the observed variables.
+    linear combinations of the observed variables.  The spouse rows of
+    ``inv(omega[-i, -i])`` are read off ``k_inv`` and the new row of
+    ``omega`` is folded back into it by a rank-2 update, so the step costs
+    O(q p^2) instead of a fresh factorization of ``omega[-i, -i]``.
     """
-    i = plan.i
+    i, ip = plan.i, plan.i_pos
     n = s.shape[0]
     if plan.q == 0:
-        omega[plan.i_pos, plan.i_pos] = s[i, i]
+        omega[ip, ip] = s[i, i]
+        k_inv[ip, ip] = 1.0 / s[i, i]
         return
-
-    cho_mm = None
-    if plan.sp:
-        omega_mm = omega[np.ix_(plan.m_pos, plan.m_pos)]
-        try:
-            cho_mm = linalg.cho_factor(omega_mm, lower=True)
-        except linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "omega[-i, -i] lost positive definiteness"
-            ) from None
 
     c_rows = np.zeros((plan.q, n))
     for r, j in enumerate(plan.pa):
         c_rows[r, j] = 1.0
     if plan.sp:
-        sel = np.zeros((len(plan.m_v), len(plan.sp)))
-        for col, pos in enumerate(plan.sp_sel):
-            sel[pos, col] = 1.0
-        inv_rows = linalg.cho_solve(cho_mm, sel).T
-        resid_rows = -beta[plan.m_v, :]
-        resid_rows[np.arange(len(plan.m_v)), plan.m_v] += 1.0
-        c_rows[len(plan.pa):, :] = inv_rows @ resid_rows
+        k_ii = k_inv[ip, ip]
+        if k_ii <= 0:
+            raise NotPositiveDefinite("omega lost positive definiteness")
+        k_col = k_inv[:, ip].copy()
+        # spouse rows of inv(omega[-i, -i]), zero in the column of i
+        a_sp = k_inv[plan.sp_pos, :] - np.outer(k_col[plan.sp_pos] / k_ii, k_col)
+        a_sp[:, ip] = 0.0
+        a = np.zeros((len(plan.sp), n))
+        a[:, plan.disp] = a_sp
+        c_rows[len(plan.pa):, :] = a - a @ beta
 
     gram = c_rows @ s @ c_rows.T
     moment = c_rows @ s[:, i]
@@ -261,14 +270,23 @@ def _icf_step_cov(
     beta[i, :] = 0.0
     if plan.pa:
         beta[i, plan.pa] = coef[: len(plan.pa)]
-    w_row = np.zeros(len(plan.m_v))
+    u = np.zeros(omega.shape[0])
     quad = 0.0
+    omega[ip, :] = 0.0
+    omega[:, ip] = 0.0
     if plan.sp:
-        w_row[plan.sp_sel] = coef[len(plan.pa):]
-        quad = float(w_row @ linalg.cho_solve(cho_mm, w_row))
-    omega[plan.i_pos, plan.m_pos] = w_row
-    omega[plan.m_pos, plan.i_pos] = w_row
-    omega[plan.i_pos, plan.i_pos] = w_cond + quad
+        w_sp = coef[len(plan.pa):]
+        u = a_sp.T @ w_sp
+        quad = float(w_sp @ u[plan.sp_pos])
+        omega[ip, plan.sp_pos] = w_sp
+        omega[plan.sp_pos, ip] = w_sp
+        v = np.column_stack((k_col, u))
+        k_inv -= (v * (1.0 / k_ii, -1.0 / w_cond)) @ v.T
+    omega[ip, ip] = w_cond + quad
+    k_row = -u / w_cond
+    k_inv[ip, :] = k_row
+    k_inv[:, ip] = k_row
+    k_inv[ip, ip] = 1.0 / w_cond
 
 
 def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
@@ -279,7 +297,8 @@ def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
     new row of ``beta``, the new bidirected row and column of ``omega``,
     and the new residual variance.  Rows are taken as centered: the
     update uses the cross-product matrix ``y @ y.T / n`` as it stands.
-    Returns a new parameter set; the input is unchanged.
+    Returns a new parameter set; the input is unchanged.  Raises
+    ``NotPositiveDefinite`` when ``params.omega`` is not positive definite.
     """
     i = g._check_vertex(i)
     if i not in params.disp_map:
@@ -289,7 +308,10 @@ def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
         raise DimensionMismatch("y must have one row per vertex")
     beta = params.beta.copy()
     omega = params.omega.copy()
-    _icf_step_cov(y @ y.T / y.shape[1], beta, omega, _VertexPlan(g, i, params.disp_map))
+    k_inv = _spd_inverse(omega, "omega")
+    _icf_step(
+        y @ y.T / y.shape[1], beta, omega, k_inv, _VertexPlan(g, i, params.disp_map)
+    )
     return ParamSet(g, params.lam, beta, omega, params.un_map, params.disp_map)
 
 
@@ -406,8 +428,10 @@ def _run_icf(g, stats, blocks, beta, omega, plans, config) -> FitResult:
     for cycle in range(1, config.max_cycles + 1):
         if not plans:
             break
+        # formed afresh every cycle to bound the drift of the rank-2 updates
+        k_inv = _spd_inverse(omega, "omega")
         for plan in plans:
-            _icf_step_cov(s, beta, omega, plan)
+            _icf_step(s, beta, omega, k_inv, plan)
         new_sigma = blocks.sigma(beta, omega)
         logliks.append(log_likelihood(new_sigma, stats))
         delta = float(np.max(np.abs(new_sigma - sigma)))

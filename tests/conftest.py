@@ -1,11 +1,26 @@
-"""Replays the acceptance criterion lines after the test run.
+"""Shared test set-up.
 
 Pytest captures stdout from passing tests, which would hide the one
-line per criterion that test_acceptance emits; this hook prints the
-collected lines in the terminal summary instead.
+line per criterion that test_acceptance emits; the terminal summary hook
+prints the collected lines instead.  ``agfit_env`` is the environment for
+tests that start a Python subprocess which must import this tree's agfit.
 """
 
+import os
 import sys
+from pathlib import Path
+
+import pytest
+
+import agfit
+
+SRC = str(Path(agfit.__file__).resolve().parents[1])
+
+
+@pytest.fixture
+def agfit_env():
+    extra = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + extra if extra else SRC)
 
 
 def pytest_terminal_summary(terminalreporter):

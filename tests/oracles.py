@@ -359,3 +359,69 @@ def best_loglik_numeric(g, stats, restarts: int = 20, seed: int = 0, maxiter: in
         options={"maxiter": maxiter, "fatol": 1e-13, "xatol": 1e-11},
     )
     return max(best_val, -res.fun)
+
+
+# -- reference ICF ------------------------------------------------------------
+
+
+def icf_reference(g: AncestralGraph, s: np.ndarray, lam: np.ndarray, tolerance=1e-6,
+                  max_cycles=5000):
+    """Plain ICF from the sample covariance: every vertex step inverts
+    ``omega[-i, -i]`` afresh with ``numpy.linalg``.
+
+    Starts from ``beta = 0`` and the diagonal of ``s`` on the arrowhead
+    block, visits those vertices in ascending order and stops once a cycle
+    moves no entry of the implied covariance by ``tolerance`` or more, as
+    ``agfit.fit`` does; ``lam`` is the fixed undirected-block concentration.
+    Returns the implied covariance at the start and after each cycle.
+    """
+    n = g.n
+    un = sorted(g.un_vertices)
+    disp = sorted(set(range(n)) - g.un_vertices)
+    pos = {v: k for k, v in enumerate(disp)}
+    beta = np.zeros((n, n))
+    omega = np.diag(s[disp, disp]).astype(float)
+
+    def implied():
+        psi = np.zeros((n, n))
+        if un:
+            psi[np.ix_(un, un)] = np.linalg.inv(lam)
+        psi[np.ix_(disp, disp)] = omega
+        a = np.linalg.inv(np.eye(n) - beta)
+        return a @ psi @ a.T
+
+    sigmas = [implied()]
+    for _ in range(max_cycles):
+        for i in disp:
+            pa = sorted(g.pa(i))
+            sp = sorted(g.sp(i))
+            others = [v for v in disp if v != i]
+            rest = [pos[v] for v in others]
+            inv_rest = np.linalg.inv(omega[np.ix_(rest, rest)]) if rest else None
+            sp_rows = [others.index(v) for v in sp]
+            # covariates as linear combinations of the variables: the
+            # parents, then the spouse pseudo-variables inv(omega[-i, -i])
+            # applied to the residuals (I - beta) y of the other vertices
+            x = np.zeros((len(pa) + len(sp), n))
+            for r, j in enumerate(pa):
+                x[r, j] = 1.0
+            if sp:
+                x[len(pa):] = inv_rest[sp_rows] @ (np.eye(n) - beta)[others]
+            if len(x):
+                coef = np.linalg.solve(x @ s @ x.T, x @ s[:, i])
+                w_cond = s[i, i] - coef @ (x @ s[:, i])
+            else:
+                coef, w_cond = np.zeros(0), s[i, i]
+            w_sp = coef[len(pa):]
+            beta[i, :] = 0.0
+            beta[i, pa] = coef[: len(pa)]
+            omega[pos[i], :] = 0.0
+            omega[:, pos[i]] = 0.0
+            for v, w in zip(sp, w_sp):
+                omega[pos[i], pos[v]] = omega[pos[v], pos[i]] = w
+            quad = w_sp @ inv_rest[np.ix_(sp_rows, sp_rows)] @ w_sp if sp else 0.0
+            omega[pos[i], pos[i]] = w_cond + quad
+        sigmas.append(implied())
+        if np.max(np.abs(sigmas[-1] - sigmas[-2])) < tolerance:
+            break
+    return sigmas

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,22 @@ class TestCheck:
         rc, _, err = run(capsys, "check", str(tmp_path / "none.csv"))
         assert rc == 3
         assert "parse error" in err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path, agfit_env):
+        # long labels push the report well past a pipe buffer, so the
+        # reader closes its end before the last write
+        labels = [f"v{k}_" + "x" * 600 for k in range(16)]
+        path = tmp_path / "g.csv"
+        write_graph_csv(AncestralGraph(16, labels=labels), path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "agfit.cli", "check", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=agfit_env,
+        )
+        assert proc.stdout.readline() == b"valid: yes\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
 
 
 class TestFitText:

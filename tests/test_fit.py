@@ -7,10 +7,13 @@ import pytest
 import oracles
 from agfit import (
     AncestralGraph,
+    AgfitError,
     FitConfig,
     ParamSet,
     SampleStats,
+    bidirected_cycle_graph,
     build_sigma,
+    cycle_covariance,
     empirical_covariance,
     fit,
     fit_dag_closed_form,
@@ -19,6 +22,7 @@ from agfit import (
     log_likelihood,
     moth_graph,
     moth_stats,
+    sample_mvn,
 )
 from agfit.errors import NotMaximal, NotPositiveDefinite
 from agfit.fit import _maximal_cliques
@@ -145,6 +149,41 @@ class TestIcfStep:
         # row/column 0 of omega and row 0 of beta may change, rest must not
         np.testing.assert_array_equal(new.omega[1:, 1:], pm.omega[1:, 1:])
         np.testing.assert_array_equal(new.beta[1:], pm.beta[1:])
+
+    def test_indefinite_omega_is_a_typed_error(self):
+        g = AncestralGraph(3, bidirected=[(0, 1), (1, 2)])
+        omega = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        pm = ParamSet.for_graph(g, omega=omega, validate=False)
+        y = np.random.default_rng(263).standard_normal((3, 30))
+        with pytest.raises(AgfitError) as info:
+            icf_step(g, 0, pm, y)
+        assert isinstance(info.value, NotPositiveDefinite)
+
+
+class TestFitAgainstReferenceIcf:
+    """``fit`` keeps inv(omega) current across vertex steps; a plain ICF
+    that inverts omega[-i, -i] at every step must follow the same
+    likelihood path to the same estimate in the same number of cycles."""
+
+    def _check(self, g, stats):
+        res = fit(g, stats, FitConfig(check_maximality=False))
+        sigmas = oracles.icf_reference(g, stats.s, res.params.lam)
+        assert res.converged
+        assert res.iterations == len(sigmas) - 1
+        np.testing.assert_allclose(res.sigma_hat, sigmas[-1], rtol=0, atol=1e-10)
+        lls = [log_likelihood(sigma, stats) for sigma in sigmas]
+        np.testing.assert_allclose(res.logliks, lls, rtol=1e-12, atol=0)
+
+    def test_bidirected_cycle_60(self):
+        g = bidirected_cycle_graph(60)
+        self._check(g, empirical_covariance(sample_mvn(cycle_covariance(60, 0.3), 90, seed=3)))
+
+    def test_random_mixed_graph_40(self):
+        rng = np.random.default_rng(1)
+        g = oracles.random_ancestral_graph(rng, 40, q=0.1)
+        assert sum(1 for v in range(40) if g.pa(v)) >= 10
+        assert sum(1 for v in range(40) if g.sp(v)) >= 10
+        self._check(g, _stats(oracles.random_spd(rng, 40), n=200))
 
 
 class TestFitMoth:
