@@ -3,9 +3,10 @@
 Exit codes
 
 * ``check``: 0 valid and maximal, 1 valid but not maximal, 2 invalid,
-  3 unparseable file.
-* ``fit``: 0 converged, 1 not converged, 3 unparseable file,
-  4 label mismatch or bad flags.
+  3 unparseable file, 4 independences not listed (more than 16 vertices).
+* ``fit``: 0 converged, 1 not converged, 2 invalid graph, 3 unparseable
+  file, 4 label mismatch, bad flags or a model error such as a
+  non-maximal graph.
 * ``simulate``: 0 no convergence failures, 1 otherwise, 4 bad flags.
 * any command: 1 when standard output is closed before all output is
   written (for example piped into ``head``); nothing is printed.
@@ -28,6 +29,7 @@ from .errors import (
     AgfitError,
     GraphError,
     GraphParseError,
+    GraphTooLarge,
     InvalidCoding,
     LabelMismatch,
     NotPositiveDefinite,
@@ -274,8 +276,13 @@ def _cmd_check(args, out) -> int:
     print(f"db: {nameset(g.db_vertices)}", file=out)
     maximal = is_maximal(g)
     print(f"maximal: {'yes' if maximal else 'no'}", file=out)
+    try:
+        independences = implied_pairwise_independences(g)
+    except GraphTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     print("independences:", file=out)
-    for st in implied_pairwise_independences(g):
+    for st in independences:
         (i,) = st.a
         (j,) = st.b
         if st.holds:

@@ -44,25 +44,29 @@ from .params import IndexMap, ParamSet, _block_psi, _implied_sigma, _spd_inverse
 from .stats import SampleStats, degrees_of_freedom, deviance, log_likelihood
 
 
+# Relative log-likelihood gain a restart needs to replace the kept run;
+# runs that converge to the same optimum differ only in the last bits.
+_RESTART_MARGIN = 1e-12
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the fitting loop.
 
     ``lambda_mode`` selects how the undirected block is handled: fitted
     by IPF (default), pinned to the identity, or pinned to a supplied
-    concentration matrix ``lambda0``.  ``check_maximality`` defaults to
-    None, meaning the (exponential) maximality check runs only when the
-    graph has at most ``maximality_limit`` vertices.  ``restarts`` adds
-    randomized re-runs of the ICF stage, keeping the best likelihood;
-    ``seed`` makes them reproducible.
+    concentration matrix ``lambda0``.  ``check_maximality`` rejects a
+    non-maximal graph before fitting, at every size; set it to False only
+    when the graph is known to be maximal.  ``restarts`` adds randomized
+    re-runs of the ICF stage, keeping the best likelihood; ``seed`` makes
+    them reproducible.
     """
 
     tolerance: float = 1e-6
     max_cycles: int = 5000
     lambda_mode: str = "ipf"
     lambda0: np.ndarray | None = None
-    check_maximality: bool | None = None
-    maximality_limit: int = 16
+    check_maximality: bool = True
     restarts: int = 0
     seed: int | None = None
 
@@ -383,15 +387,15 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     returned with ``converged=False``.
 
     The graph must be maximal for the fit to target the intended
-    independence model; the check is skipped above
-    ``config.maximality_limit`` vertices unless explicitly requested.
+    independence model; unless ``config.check_maximality`` is False a
+    non-maximal graph raises ``NotMaximal``.  Of several runs
+    (``config.restarts``), a later one replaces the kept one only when its
+    final log-likelihood is higher by more than a relative 1e-12, so runs
+    that reach the same optimum do not swap on rounding.
     """
     config = config or FitConfig()
     _check_dimension(g, stats)
-    check = config.check_maximality
-    if check is None:
-        check = g.n <= config.maximality_limit
-    if check and not is_maximal(g, max_vertices=config.maximality_limit):
+    if config.check_maximality and not is_maximal(g):
         raise NotMaximal("graph has an inseparable non-adjacent pair; complete it first")
 
     s = stats.s
@@ -414,7 +418,10 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
                 else np.zeros((0, 0))
             )
         result = _run_icf(g, stats, blocks, beta0, omega0, plans, config)
-        if best is None or result.logliks[-1] > best.logliks[-1]:
+        if best is None or (
+            result.logliks[-1] - best.logliks[-1]
+            > _RESTART_MARGIN * abs(best.logliks[-1])
+        ):
             best = result
     return best
 

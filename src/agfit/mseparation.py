@@ -7,9 +7,16 @@ outside C.  Queries are answered by reachability over (vertex, entering
 mark) states, which visits each directed edge at most twice instead of
 enumerating paths.
 
-Separating-set search, maximality checking, and completion enumerate
-conditioning sets exhaustively and are therefore exponential in the
-vertex count; they refuse graphs above ``max_vertices``.
+Maximality checking and completion are polynomial.  A non-adjacent pair
+i, j can be m-separated if and only if the anterior set of {i, j}, less
+the pair, separates it; a pair fails that test exactly when an inducing
+path joins it, and adding a bidirected edge between every such pair makes
+the graph maximal (Richardson and Spirtes, 2002, Theorems 4.2 and 5.1).
+
+Listing the smallest separating set of a pair still enumerates
+conditioning sets by size and is therefore exponential in the vertex
+count; ``separating_set`` and ``implied_pairwise_independences`` refuse
+graphs above ``max_vertices``.
 """
 
 from __future__ import annotations
@@ -128,24 +135,69 @@ def _guard_size(g: AncestralGraph, max_vertices: int):
         )
 
 
+def _reachable(start, step) -> set:
+    """Vertices reached from ``start`` by one or more moves of ``step``."""
+    out = set()
+    stack = list(start)
+    while stack:
+        for w in step(stack.pop()):
+            if w not in out:
+                out.add(w)
+                stack.append(w)
+    return out
+
+
+def _inseparable(g: AncestralGraph, i: int, j: int) -> bool:
+    """True when no set m-separates the non-adjacent pair ``i``, ``j``.
+
+    Some set separates the pair exactly when the anterior set of {i, j}
+    (closed under parents and undirected neighbours) minus the pair does.
+    Ancestors alone, without undirected neighbours, get this wrong.
+    """
+    anterior = _reachable((i, j), lambda v: g.pa(v) | g.ne(v))
+    return m_connecting_path_exists(g, i, j, anterior - {i, j})
+
+
+def _inseparable_pairs(g: AncestralGraph) -> list:
+    """Non-adjacent pairs (i, j), i < j, that no set m-separates, in order.
+
+    Such a pair is joined by an inducing path i *-> v1 <-> ... <-> vk <-* j
+    with k >= 2 whose inner vertices are all ancestors of i or j.  In an
+    ancestral graph v1 cannot be an ancestor of i, so v1 is a proper
+    ancestor of j, and v1 has a spouse.  Only pairs of a parent or spouse
+    i of such a v1 and a proper descendant j of v1 are tested: the test
+    is a reachability search, too costly to run on every pair.
+    """
+    pairs = set()
+    for v in range(g.n):
+        if not g.sp(v) or not g.ch(v):
+            continue
+        below = _reachable((v,), g.ch)
+        for i in g.pa(v) | g.sp(v):
+            for j in below:
+                if not g.is_adjacent(i, j):
+                    pairs.add((min(i, j), max(i, j)))
+    return [pair for pair in sorted(pairs) if _inseparable(g, *pair)]
+
+
 def separating_set(g: AncestralGraph, i, j, *, max_vertices: int = 16):
     """Smallest separating set for a non-adjacent pair, or None.
 
     Candidates are scanned by size and then lexicographically, so the
-    returned set is the first one in that order.  Returns None when no
-    subset of the remaining vertices separates the pair.
+    returned set is the first one in that order.  Returns None for an
+    adjacent pair and for a pair that no subset of the remaining vertices
+    separates.
     """
     _guard_size(g, max_vertices)
     i = g._check_vertex(i)
     j = g._check_vertex(j)
-    if g.is_adjacent(i, j):
+    if g.is_adjacent(i, j) or _inseparable(g, i, j):
         return None
     rest = [v for v in range(g.n) if v != i and v != j]
     for size in range(len(rest) + 1):
         for cand in combinations(rest, size):
             if not m_connecting_path_exists(g, i, j, frozenset(cand)):
                 return frozenset(cand)
-    return None
 
 
 def implied_pairwise_independences(
@@ -175,41 +227,25 @@ def implied_pairwise_independences(
     return tuple(out)
 
 
-def is_maximal(g: AncestralGraph, *, max_vertices: int = 16) -> bool:
+def is_maximal(g: AncestralGraph) -> bool:
     """True when every non-adjacent pair admits some separating set."""
-    _guard_size(g, max_vertices)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.is_adjacent(i, j):
-                continue
-            if separating_set(g, i, j, max_vertices=max_vertices) is None:
-                return False
-    return True
+    return not _inseparable_pairs(g)
 
 
-def maximal_completion(g: AncestralGraph, *, max_vertices: int = 16) -> AncestralGraph:
-    """Add bidirected edges between inseparable pairs until maximal.
+def maximal_completion(g: AncestralGraph) -> AncestralGraph:
+    """Add a bidirected edge between every inseparable non-adjacent pair.
 
-    The completed graph represents the same collection of m-separation
-    statements as the input; the graph is rebuilt (and revalidated) after
-    each round of additions.
+    One pass suffices: the result is maximal and represents the same
+    collection of m-separation statements as the input.  A maximal input
+    is returned as it is.
     """
-    _guard_size(g, max_vertices)
-    current = g
-    while True:
-        missing = [
-            (i, j)
-            for i in range(current.n)
-            for j in range(i + 1, current.n)
-            if not current.is_adjacent(i, j)
-            and separating_set(current, i, j, max_vertices=max_vertices) is None
-        ]
-        if not missing:
-            return current
-        current = AncestralGraph(
-            current.n,
-            undirected=current.undirected_pairs,
-            directed=current.directed_pairs,
-            bidirected=list(current.bidirected_pairs) + missing,
-            labels=current.labels,
-        )
+    missing = _inseparable_pairs(g)
+    if not missing:
+        return g
+    return AncestralGraph(
+        g.n,
+        undirected=g.undirected_pairs,
+        directed=g.directed_pairs,
+        bidirected=list(g.bidirected_pairs) + missing,
+        labels=g.labels,
+    )

@@ -174,16 +174,10 @@ def run_scaling_experiment(
     and results do not depend on execution order.  A fit that raises an
     :class:`AgfitError` or a ``numpy.linalg.LinAlgError`` is counted as a
     convergence failure; any other exception is a bug and propagates.
-
-    The maximality precondition holds by construction (a bidirected-only
-    graph admits the empty separating set for every non-adjacent pair),
-    so the per-fit check is off by default.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     p_values = [int(p) for p in p_values]
-    if config is None:
-        config = FitConfig(tolerance=1e-6, check_maximality=False)
 
     rows = []
     for p in p_values:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from agfit import AncestralGraph, sample_mvn, write_graph_csv
+from agfit import AncestralGraph, bidirected_cycle_graph, sample_mvn, write_graph_csv
 from agfit.cli import main
 from agfit.datasets import data_path
 
@@ -52,6 +52,16 @@ class TestCheck:
         assert "valid: yes" in out
         assert "maximal: no" in out
         assert "no separating set" in out
+
+    def test_too_many_vertices_to_list_independences(self, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        write_graph_csv(bidirected_cycle_graph(20), path)
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 4
+        assert "maximal: yes" in out
+        assert "independences:" not in out
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
 
     def test_invalid_graph(self, capsys, tmp_path):
         path = tmp_path / "g.csv"

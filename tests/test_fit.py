@@ -383,6 +383,13 @@ class TestFitInvariants:
         multi = fit(g, st, FitConfig(check_maximality=False, restarts=5, seed=7))
         assert multi.logliks[-1] >= base.logliks[-1] - 1e-9
 
+    def test_restarts_keep_first_run_on_rounding_ties(self):
+        base = fit(moth_graph(), moth_stats())
+        for seed in range(10):
+            res = fit(moth_graph(), moth_stats(), FitConfig(restarts=3, seed=seed))
+            assert res.iterations == 6
+            assert np.array_equal(res.sigma_hat, base.sigma_hat)
+
     def test_non_maximal_graph_rejected(self):
         g = AncestralGraph(
             4, directed=[(1, 3), (2, 0)], bidirected=[(0, 1), (1, 2), (2, 3)]

@@ -9,14 +9,16 @@ import pytest
 import oracles
 from agfit import (
     AncestralGraph,
+    SampleStats,
     SeparationQuery,
+    fit,
     implied_pairwise_independences,
     is_maximal,
     m_separated,
     maximal_completion,
     separating_set,
 )
-from agfit.errors import GraphTooLarge, OverlappingSets
+from agfit.errors import GraphTooLarge, NotMaximal, OverlappingSets
 
 
 @pytest.fixture
@@ -226,3 +228,59 @@ class TestMaximality:
         rng = np.random.default_rng(37)
         for _ in range(20):
             assert is_maximal(oracles.random_dag(rng, 5))
+
+
+def _exhaustive_inseparable_pairs(g):
+    """Non-adjacent pairs that no subset of the other vertices separates."""
+    out = []
+    for i, j in combinations(range(g.n), 2):
+        if g.is_adjacent(i, j):
+            continue
+        rest = [v for v in range(g.n) if v != i and v != j]
+        if all(
+            not m_separated(g, {i}, {j}, set(c))
+            for r in range(len(rest) + 1)
+            for c in combinations(rest, r)
+        ):
+            out.append((i, j))
+    return out
+
+
+class TestMaximalityAgainstExhaustiveSearch:
+    def _check(self, g):
+        want = _exhaustive_inseparable_pairs(g)
+        assert is_maximal(g) == (not want)
+        for i, j in combinations(range(g.n), 2):
+            if not g.is_adjacent(i, j):
+                c = separating_set(g, i, j)
+                assert (c is None) == ((i, j) in want)
+                assert c is None or m_separated(g, {i}, {j}, c)
+        h = maximal_completion(g)
+        assert is_maximal(h)
+        assert sorted(set(h.bidirected_pairs) - set(g.bidirected_pairs)) == want
+        assert h.directed_pairs == g.directed_pairs
+        assert h.undirected_pairs == g.undirected_pairs
+
+    def test_every_graph_up_to_four_vertices(self):
+        for p in range(1, 5):
+            for g in oracles.all_ancestral_graphs_pruned(p):
+                self._check(g)
+
+    def test_random_graphs_five_to_eight_vertices(self):
+        rng = np.random.default_rng(41)
+        for p in range(5, 9):
+            for _ in range(200):
+                self._check(oracles.random_ancestral_graph(rng, p, q=0.5))
+
+    def test_gadget_in_twenty_vertices(self):
+        # the 4-vertex inducing-path gadget followed by a directed chain
+        g = AncestralGraph(
+            20,
+            directed=[(1, 3), (2, 0)] + [(v, v + 1) for v in range(3, 19)],
+            bidirected=[(0, 1), (1, 2), (2, 3)],
+        )
+        assert not is_maximal(g)
+        h = maximal_completion(g)
+        assert set(h.bidirected_pairs) - set(g.bidirected_pairs) == {(0, 3)}
+        with pytest.raises(NotMaximal):
+            fit(g, SampleStats.from_covariance(np.eye(20), 50))
