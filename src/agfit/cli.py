@@ -6,13 +6,11 @@ Exit codes
   3 unparseable file, 4 independences not listed (more than 16 vertices).
 * ``fit``: 0 converged, 1 not converged, 2 invalid graph, 3 unparseable
   file, 4 label mismatch, bad flags or a model error such as a
-  non-maximal graph.
+  non-maximal graph.  Flags out of range are bad flags: ``--tol`` not
+  above 0, ``--max-cycles`` or ``--n`` below 1, ``--precision`` below 0.
 * ``simulate``: 0 no convergence failures, 1 otherwise, 4 bad flags.
 * any command: 1 when standard output is closed before all output is
   written (for example piped into ``head``); nothing is printed.
-
-``AGFIT_TOL`` and ``AGFIT_MAX_CYCLES`` override the built-in defaults of
-``--tol`` and ``--max-cycles``.
 """
 
 from __future__ import annotations
@@ -51,16 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _FlagError(message)
 
 
-def _env_float(name, fallback):
-    raw = os.environ.get(name)
-    return float(raw) if raw else fallback
-
-
-def _env_int(name, fallback):
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="agfit",
@@ -77,18 +65,12 @@ def _build_parser() -> _Parser:
     src.add_argument("--data", help="cases-by-variables data CSV with a header")
     src.add_argument("--cov", help="covariance matrix CSV")
     p_fit.add_argument("--n", type=int, help="sample size behind --cov")
-    p_fit.add_argument("--tol", type=float, default=_env_float("AGFIT_TOL", 1e-6))
+    p_fit.add_argument("--tol", type=float, default=1e-6)
+    p_fit.add_argument("--max-cycles", type=int, default=5000)
     p_fit.add_argument(
-        "--max-cycles", type=int, default=_env_int("AGFIT_MAX_CYCLES", 5000)
-    )
-    centering = p_fit.add_mutually_exclusive_group()
-    centering.add_argument(
         "--centered", action="store_true",
-        help="treat --data rows as already centered",
-    )
-    centering.add_argument(
-        "--mean-adjusted", action="store_true",
-        help="remove column means from --data first (default)",
+        help="treat --data rows as already centered "
+        "(default: remove column means first)",
     )
     p_fit.add_argument("--format", choices=("text", "json"), default="text")
     p_fit.add_argument("--precision", type=int, default=2,
@@ -295,6 +277,14 @@ def _cmd_check(args, out) -> int:
 def _cmd_fit(args, out) -> int:
     if args.cov is not None and args.n is None:
         raise _FlagError("--cov requires --n")
+    if args.n is not None and args.n < 1:
+        raise _FlagError("--n must be at least 1")
+    if not args.tol > 0:
+        raise _FlagError("--tol must be positive")
+    if args.max_cycles < 1:
+        raise _FlagError("--max-cycles must be at least 1")
+    if args.precision < 0:
+        raise _FlagError("--precision cannot be negative")
     try:
         g = read_graph_csv(args.graph)
     except GraphError as exc:

@@ -53,19 +53,17 @@ _RESTART_MARGIN = 1e-12
 class FitConfig:
     """Knobs of the fitting loop.
 
-    ``lambda_mode`` selects how the undirected block is handled: fitted
-    by IPF (default), pinned to the identity, or pinned to a supplied
-    concentration matrix ``lambda0``.  ``check_maximality`` rejects a
-    non-maximal graph before fitting, at every size; set it to False only
-    when the graph is known to be maximal.  ``restarts`` adds randomized
-    re-runs of the ICF stage, keeping the best likelihood; ``seed`` makes
-    them reproducible.
+    ``tolerance`` bounds the change of the implied covariance over one
+    cycle, in correlation units (see :func:`fit`); it also stops IPF on
+    the undirected block.  ``max_cycles`` caps the cycles of each stage.
+    ``check_maximality`` rejects a non-maximal graph before fitting, at
+    every size; set it to False only when the graph is known to be
+    maximal.  ``restarts`` adds randomized re-runs of the ICF stage,
+    keeping the best likelihood; ``seed`` makes them reproducible.
     """
 
     tolerance: float = 1e-6
     max_cycles: int = 5000
-    lambda_mode: str = "ipf"
-    lambda0: np.ndarray | None = None
     check_maximality: bool = True
     restarts: int = 0
     seed: int | None = None
@@ -75,10 +73,6 @@ class FitConfig:
             raise ValueError("tolerance must be positive")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
-        if self.lambda_mode not in ("ipf", "identity", "fixed"):
-            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.lambda_mode == "fixed" and self.lambda0 is None:
-            raise ValueError("lambda_mode 'fixed' requires lambda0")
         if self.restarts < 0:
             raise ValueError("restarts cannot be negative")
 
@@ -130,8 +124,10 @@ def fit_undirected_ipf(
     sample covariance on that clique while the conditional distribution
     of the remaining variables given the clique is untouched.  Converges
     when every clique block of the implied covariance is within
-    ``tolerance`` of the sample block.  The result is exactly zero at
-    missing edges.
+    ``tolerance`` of the sample block in correlation units, each entry
+    (i, j) divided by sqrt(s_ii s_jj), so the cycle count does not depend
+    on the scale of the variables.  The result is exactly zero at missing
+    edges.
     """
     if g_un.directed_pairs or g_un.bidirected_pairs:
         raise ValueError("IPF expects a purely undirected graph")
@@ -147,6 +143,7 @@ def fit_undirected_ipf(
         raise NotPositiveDefinite("s_un is not positive definite") from None
 
     cliques = sorted(sorted(c) for c in _maximal_cliques(g_un))
+    scale = _correlation_scale(s_un)
 
     k = np.diag(1.0 / np.diag(s_un))
     all_idx = np.arange(p)
@@ -167,9 +164,8 @@ def fit_undirected_ipf(
                 update = scc_inv
             k[np.ix_(cl, cl)] = 0.5 * (update + update.T)
         w = linalg.cho_solve(linalg.cho_factor(k, lower=True), eye)
-        err = max(
-            np.max(np.abs(w[np.ix_(cl, cl)] - s_un[np.ix_(cl, cl)])) for cl in cliques
-        )
+        diff = np.abs(w - s_un) * scale
+        err = max(np.max(diff[np.ix_(cl, cl)]) for cl in cliques)
         if err < tolerance:
             return 0.5 * (k + k.T)
     raise MaxIterationsExceeded(
@@ -332,8 +328,8 @@ def _check_dimension(g: AncestralGraph, stats: SampleStats) -> None:
 class _Blocks:
     """Undirected/arrowhead split of a fit with its fixed undirected part.
 
-    Shared by the iterative and the closed-form fit: fits ``lam`` by the
-    configured lambda stage, and assembles the implied covariance and the
+    Shared by the iterative and the closed-form fit: fits ``lam`` by IPF
+    on the undirected block, and assembles the implied covariance and the
     final result from the arrowhead parameters.
     """
 
@@ -342,8 +338,14 @@ class _Blocks:
         self.disp = sorted(set(range(g.n)) - g.un_vertices)
         self.un_map = IndexMap(tuple(self.un))
         self.disp_map = IndexMap(tuple(self.disp))
-        self.lam = _lambda_stage(g, s, self.un, config)
-        self.psi_un = _spd_inverse(self.lam, "lam") if self.un else np.zeros((0, 0))
+        if self.un:
+            self.lam = fit_undirected_ipf(
+                g.subgraph(self.un), s[np.ix_(self.un, self.un)],
+                tolerance=config.tolerance, max_cycles=config.max_cycles,
+            )
+            self.psi_un = _spd_inverse(self.lam, "lam")
+        else:
+            self.lam = self.psi_un = np.zeros((0, 0))
 
     def sigma(self, beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
         psi_m = _block_psi(beta.shape[0], self.un, self.disp, self.psi_un, omega)
@@ -361,30 +363,16 @@ class _Blocks:
         )
 
 
-def _lambda_stage(g, s, un, config) -> np.ndarray:
-    if not un:
-        return np.zeros((0, 0))
-    if config.lambda_mode == "identity":
-        return np.eye(len(un))
-    if config.lambda_mode == "fixed":
-        lam = np.array(config.lambda0, dtype=float)
-        ParamSet.for_graph(g, lam=lam)  # shape, sparsity and definiteness check
-        return lam
-    return fit_undirected_ipf(
-        g.subgraph(un), s[np.ix_(un, un)], tolerance=config.tolerance,
-        max_cycles=config.max_cycles,
-    )
-
-
 def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) -> FitResult:
     """Maximum likelihood fit of the model defined by ``g``.
 
-    The undirected block is fitted first (see ``lambda_mode``) and held
-    fixed; ICF then cycles through the arrowhead-block vertices in
-    ascending index order until the largest entrywise change of the
-    implied covariance over one full cycle drops below ``tolerance``.
-    When the cycle budget runs out the best parameters so far are
-    returned with ``converged=False``.
+    The undirected block is fitted first by IPF and held fixed; ICF then
+    cycles through the arrowhead-block vertices in ascending index order
+    until no entry of the implied covariance moves by ``tolerance`` or
+    more in correlation units over one full cycle: the change of entry
+    (i, j) is divided by sqrt(s_ii s_jj), so rescaling the variables does
+    not change when the fit stops.  When the cycle budget runs out the
+    best parameters so far are returned with ``converged=False``.
 
     The graph must be maximal for the fit to target the intended
     independence model; unless ``config.check_maximality`` is False a
@@ -402,6 +390,7 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     blocks = _Blocks(g, s, config)
     disp = blocks.disp
     plans = [_VertexPlan(g, i, blocks.disp_map) for i in disp]
+    scale = _correlation_scale(s)
     rng = np.random.default_rng(config.seed)
 
     best = None
@@ -417,7 +406,7 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
                 if disp
                 else np.zeros((0, 0))
             )
-        result = _run_icf(g, stats, blocks, beta0, omega0, plans, config)
+        result = _run_icf(g, stats, blocks, beta0, omega0, plans, scale, config)
         if best is None or (
             result.logliks[-1] - best.logliks[-1]
             > _RESTART_MARGIN * abs(best.logliks[-1])
@@ -426,7 +415,13 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     return best
 
 
-def _run_icf(g, stats, blocks, beta, omega, plans, config) -> FitResult:
+def _correlation_scale(s: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(s_ii s_jj)``: turns a covariance change into correlation units."""
+    d = 1.0 / np.sqrt(np.diag(s))
+    return np.outer(d, d)
+
+
+def _run_icf(g, stats, blocks, beta, omega, plans, scale, config) -> FitResult:
     s = stats.s
     sigma = blocks.sigma(beta, omega)
     logliks = [log_likelihood(sigma, stats)]
@@ -441,7 +436,7 @@ def _run_icf(g, stats, blocks, beta, omega, plans, config) -> FitResult:
             _icf_step(s, beta, omega, k_inv, plan)
         new_sigma = blocks.sigma(beta, omega)
         logliks.append(log_likelihood(new_sigma, stats))
-        delta = float(np.max(np.abs(new_sigma - sigma)))
+        delta = float(np.max(np.abs(new_sigma - sigma) * scale))
         sigma = new_sigma
         iterations = cycle
         if delta < config.tolerance:

@@ -16,7 +16,7 @@ the graph maximal (Richardson and Spirtes, 2002, Theorems 4.2 and 5.1).
 Listing the smallest separating set of a pair still enumerates
 conditioning sets by size and is therefore exponential in the vertex
 count; ``separating_set`` and ``implied_pairwise_independences`` refuse
-graphs above ``max_vertices``.
+graphs above 16 vertices.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .graph import AncestralGraph
 
 TAIL = 0
 ARROW = 1
+
+# Largest graph the exhaustive separating-set search accepts.
+_MAX_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,11 @@ def m_separated(g: AncestralGraph, a, b, c=frozenset()) -> bool:
     )
 
 
-def _guard_size(g: AncestralGraph, max_vertices: int):
-    if g.n > max_vertices:
+def _guard_size(g: AncestralGraph):
+    if g.n > _MAX_VERTICES:
         raise GraphTooLarge(
             f"exhaustive search over conditioning sets refused for {g.n} vertices "
-            f"(limit {max_vertices})"
+            f"(limit {_MAX_VERTICES})"
         )
 
 
@@ -180,7 +183,7 @@ def _inseparable_pairs(g: AncestralGraph) -> list:
     return [pair for pair in sorted(pairs) if _inseparable(g, *pair)]
 
 
-def separating_set(g: AncestralGraph, i, j, *, max_vertices: int = 16):
+def separating_set(g: AncestralGraph, i, j):
     """Smallest separating set for a non-adjacent pair, or None.
 
     Candidates are scanned by size and then lexicographically, so the
@@ -188,7 +191,7 @@ def separating_set(g: AncestralGraph, i, j, *, max_vertices: int = 16):
     adjacent pair and for a pair that no subset of the remaining vertices
     separates.
     """
-    _guard_size(g, max_vertices)
+    _guard_size(g)
     i = g._check_vertex(i)
     j = g._check_vertex(j)
     if g.is_adjacent(i, j) or _inseparable(g, i, j):
@@ -200,22 +203,20 @@ def separating_set(g: AncestralGraph, i, j, *, max_vertices: int = 16):
                 return frozenset(cand)
 
 
-def implied_pairwise_independences(
-    g: AncestralGraph, *, max_vertices: int = 16
-) -> tuple:
+def implied_pairwise_independences(g: AncestralGraph) -> tuple:
     """One record per non-adjacent pair, scanned in index order.
 
     Each record carries the smallest separating set (by size, then
     lexicographic order) or ``holds=False`` when the pair cannot be
     separated.
     """
-    _guard_size(g, max_vertices)
+    _guard_size(g)
     out = []
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if g.is_adjacent(i, j):
                 continue
-            c = separating_set(g, i, j, max_vertices=max_vertices)
+            c = separating_set(g, i, j)
             out.append(
                 IndependenceStatement(
                     a=frozenset((i,)),

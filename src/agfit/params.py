@@ -84,15 +84,7 @@ class ParamSet:
     disp_map: IndexMap
 
     @classmethod
-    def for_graph(
-        cls,
-        graph: AncestralGraph,
-        lam=None,
-        beta=None,
-        omega=None,
-        *,
-        validate: bool = True,
-    ) -> "ParamSet":
+    def for_graph(cls, graph: AncestralGraph, lam=None, beta=None, omega=None) -> "ParamSet":
         """Build a parameter set; omitted matrices default to identity.
 
         The default is ``lam = I``, ``beta = 0``, ``omega = I``, which is
@@ -108,8 +100,7 @@ class ParamSet:
         omega = np.eye(len(disp)) if omega is None else np.array(omega, dtype=float)
 
         ps = cls(graph, lam, beta, omega, un_map, disp_map)
-        if validate:
-            ps._validate()
+        ps._validate()
         return ps
 
     def _validate(self):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import AgfitError, NotPositiveDefinite
-from .fit import FitConfig, FitResult, fit
+from .fit import FitResult, fit
 from .graph import AncestralGraph
 from .stats import empirical_covariance
 
@@ -163,7 +163,6 @@ def run_scaling_experiment(
     replicates: int = 100,
     rho: float = 0.3,
     seed: int = 0,
-    config: FitConfig | None = None,
 ) -> ExperimentReport:
     """Fit the bidirected cycle model to simulated data across sizes.
 
@@ -189,7 +188,7 @@ def run_scaling_experiment(
             stats = empirical_covariance(y)
             t0 = time.process_time()
             try:
-                res: FitResult = fit(graph, stats, config)
+                res: FitResult = fit(graph, stats)
                 elapsed = time.process_time() - t0
                 rows.append(
                     ReplicateResult(

@@ -219,6 +219,43 @@ def random_ancestral_graph(rng, p: int, q: float = 0.35, max_tries: int = 500):
     raise RuntimeError("no valid draw")
 
 
+# The smallest inducing path: 0 <-> 1 <-> 2 <-> 3 with 1 -> 3 and 2 -> 0
+# joins the non-adjacent pair 0, 3, so no set m-separates it.
+GADGET_DIRECTED = ((1, 3), (2, 0))
+GADGET_BIDIRECTED = ((0, 1), (1, 2), (2, 3))
+
+
+def random_gadget_graph(rng, p: int, q: float = 0.35, max_tries: int = 500):
+    """Random ancestral graph with the inducing-path gadget planted on four
+    random vertices; the draw is never maximal.
+
+    Edges of the base draw among the four vertices are replaced by the
+    gadget's; a combination that is not ancestral is drawn again.
+    """
+    for _ in range(max_tries):
+        g = random_ancestral_graph(rng, p, q)
+        v = [int(x) for x in rng.choice(p, size=4, replace=False)]
+        inside = set(v)
+
+        def keep(pairs):
+            return [e for e in pairs if not (e[0] in inside and e[1] in inside)]
+
+        def plant(pairs):
+            return [(v[a], v[b]) for a, b in pairs]
+
+        try:
+            return AncestralGraph(
+                p,
+                undirected=keep(g.undirected_pairs),
+                directed=keep(g.directed_pairs) + plant(GADGET_DIRECTED),
+                bidirected=keep(g.bidirected_pairs) + plant(GADGET_BIDIRECTED),
+                labels=g.labels,
+            )
+        except GraphError:
+            continue
+    raise RuntimeError("no valid draw")
+
+
 def random_dag(rng, p: int, q: float = 0.4) -> AncestralGraph:
     order = list(rng.permutation(p))
     rank = {v: k for k, v in enumerate(order)}

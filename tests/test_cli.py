@@ -1,4 +1,4 @@
-"""Command line interface: exit codes, output formats, env overrides."""
+"""Command line interface: exit codes, output formats and flag checks."""
 
 import csv
 import json
@@ -83,6 +83,21 @@ class TestCheck:
         assert rc == 3
         assert "parse error" in err
 
+    def test_environment_does_not_change_defaults(self, capsys, monkeypatch):
+        # agfit reads no environment variables, malformed values included
+        monkeypatch.setenv("AGFIT_TOL", "abc")
+        monkeypatch.setenv("AGFIT_MAX_CYCLES", "1.5")
+        rc, out, _ = run(capsys, "check", MOTH_GRAPH)
+        assert rc == 0
+        assert "maximal: yes" in out
+        rc, out, _ = run(
+            capsys, "fit", "--graph", MOTH_GRAPH, "--cov", MOTH_CORR, "--n", "72",
+            "--format", "json",
+        )
+        doc = json.loads(out)
+        assert rc == 0
+        assert (doc["tolerance"], doc["max_cycles"]) == (1e-6, 5000)
+
     def test_closed_stdout_exits_quietly(self, tmp_path, agfit_env):
         # long labels push the report well past a pipe buffer, so the
         # reader closes its end before the last write
@@ -143,6 +158,17 @@ class TestFitText:
         rc, _, err = run(capsys, "fit", "--graph", MOTH_GRAPH, "--cov", MOTH_CORR)
         assert rc == 4
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "0"), ("--max-cycles", "0"), ("--n", "0"), ("--precision", "-1")],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, flag, value):
+        argv = {"--graph": MOTH_GRAPH, "--cov": MOTH_CORR, "--n": "72", flag: value}
+        rc, out, err = run(capsys, "fit", *[x for kv in argv.items() for x in kv])
+        assert rc == 4
+        assert err.startswith("usage error: ")
+        assert out == ""
 
     def test_non_convergence_exit(self, capsys):
         rc, out, err = run(
@@ -211,20 +237,12 @@ class TestFitJson:
         assert doc["disp_labels"] == ["max", "cloud", "moth"]
         assert np.array(doc["omega_hat"]).shape == (3, 3)
 
-    def test_env_overrides(self, capsys, monkeypatch):
-        monkeypatch.setenv("AGFIT_TOL", "1e-4")
-        monkeypatch.setenv("AGFIT_MAX_CYCLES", "77")
-        rc, doc = self._fit_json(capsys)
+    def test_fit_control_flags(self, capsys):
+        rc, doc = self._fit_json(capsys, "--tol", "1e-4", "--max-cycles", "77")
         assert rc == 0
         assert doc["tolerance"] == pytest.approx(1e-4)
         assert doc["max_cycles"] == 77
         assert doc["iterations"] < 6  # looser tolerance stops earlier
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("AGFIT_TOL", "1e-4")
-        rc, doc = self._fit_json(capsys, "--tol", "1e-8")
-        assert rc == 0
-        assert doc["tolerance"] == pytest.approx(1e-8)
 
 
 class TestFitData:

@@ -1,5 +1,7 @@
 """Likelihood maximization: IPF, single conditional steps, and full fits."""
 
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -96,6 +98,17 @@ class TestIpf:
             want = sorted(sorted(c) for c in nx.find_cliques(nxg))
             assert sorted(sorted(c) for c in _maximal_cliques(g)) == want
 
+    @pytest.mark.parametrize("k", [1e-4, 1e8])
+    def test_stop_rule_is_scale_free(self, k):
+        # the stop rule is in correlation units, so rescaling the data
+        # rescales the estimate and nothing else
+        rng = np.random.default_rng(167)
+        s = oracles.random_spd(rng, 4)
+        g = AncestralGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
+        np.testing.assert_allclose(
+            fit_undirected_ipf(g, k * s) * k, fit_undirected_ipf(g, s), rtol=1e-6
+        )
+
     def test_not_positive_definite_rejected(self):
         g = AncestralGraph(2, undirected=[(0, 1)])
         with pytest.raises(NotPositiveDefinite):
@@ -153,7 +166,7 @@ class TestIcfStep:
     def test_indefinite_omega_is_a_typed_error(self):
         g = AncestralGraph(3, bidirected=[(0, 1), (1, 2)])
         omega = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
-        pm = ParamSet.for_graph(g, omega=omega, validate=False)
+        pm = dataclasses.replace(ParamSet.for_graph(g), omega=omega)
         y = np.random.default_rng(263).standard_normal((3, 30))
         with pytest.raises(AgfitError) as info:
             icf_step(g, 0, pm, y)
@@ -195,6 +208,16 @@ class TestFitMoth:
         assert res.deviance == pytest.approx(10.22, abs=0.02)
         assert res.df == 5
         assert 4 <= res.iterations <= 10
+
+    def test_stop_rule_is_scale_free(self):
+        s = moth_stats().s
+        fits = [
+            fit(moth_graph(), SampleStats.from_covariance(k * s, 72))
+            for k in (1e-4, 1.0, 1e8)
+        ]
+        assert [r.iterations for r in fits] == [6, 6, 6]
+        for r in fits:
+            assert r.deviance == pytest.approx(fits[1].deviance, rel=1e-9, abs=0)
 
     def test_fitted_covariance_2dp(self):
         # variables in order max, wind, rain, cloud, moth
@@ -408,30 +431,11 @@ class TestFitInvariants:
         assert not res.converged
         assert res.iterations == 1
 
-    def test_lambda_identity_mode(self):
-        g = AncestralGraph(3, undirected=[(0, 1)], directed=[(1, 2)])
-        rng = np.random.default_rng(241)
-        st = _stats(oracles.random_spd(rng, 3))
-        res = fit(g, st, FitConfig(lambda_mode="identity"))
-        np.testing.assert_array_equal(res.lambda_hat, np.eye(2))
-
-    def test_lambda_fixed_mode(self):
-        g = AncestralGraph(3, undirected=[(0, 1)], directed=[(1, 2)])
-        rng = np.random.default_rng(251)
-        st = _stats(oracles.random_spd(rng, 3))
-        lam0 = np.array([[1.2, -0.3], [-0.3, 1.1]])
-        res = fit(g, st, FitConfig(lambda_mode="fixed", lambda0=lam0))
-        np.testing.assert_allclose(res.lambda_hat, lam0, atol=1e-12)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(max_cycles=0)
-        with pytest.raises(ValueError):
-            FitConfig(lambda_mode="nope")
-        with pytest.raises(ValueError):
-            FitConfig(lambda_mode="fixed")
         with pytest.raises(ValueError):
             FitConfig(restarts=-1)
 

@@ -168,7 +168,7 @@ class TestSeparatingSet:
     def test_size_guard(self):
         g = AncestralGraph(20)
         with pytest.raises(GraphTooLarge):
-            separating_set(g, 0, 1, max_vertices=16)
+            separating_set(g, 0, 1)
 
 
 class TestImpliedIndependences:
@@ -271,6 +271,19 @@ class TestMaximalityAgainstExhaustiveSearch:
         for p in range(5, 9):
             for _ in range(200):
                 self._check(oracles.random_ancestral_graph(rng, p, q=0.5))
+
+    def test_random_graphs_with_planted_gadget(self):
+        # random draws are almost always maximal; a planted inducing path
+        # makes the non-maximal case the common one
+        rng = np.random.default_rng(47)
+        graphs = [
+            oracles.random_gadget_graph(rng, p) for p in range(5, 9) for _ in range(50)
+        ]
+        non_maximal = 0
+        for g in graphs:
+            self._check(g)
+            non_maximal += not is_maximal(g)
+        assert non_maximal >= len(graphs) // 2
 
     def test_gadget_in_twenty_vertices(self):
         # the 4-vertex inducing-path gadget followed by a directed chain
