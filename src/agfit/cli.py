@@ -6,8 +6,11 @@ Exit codes
   3 unparseable file, 4 independences not listed (more than 16 vertices).
 * ``fit``: 0 converged, 1 not converged, 2 invalid graph, 3 unparseable
   file, 4 label mismatch, bad flags or a model error such as a
-  non-maximal graph.  Flags out of range are bad flags: ``--tol`` not
-  above 0, ``--max-cycles`` or ``--n`` below 1, ``--precision`` below 0.
+  non-maximal graph or a covariance that is not finite.  Flags out of
+  range are bad flags: ``--tol`` not above 0, ``--max-cycles`` or
+  ``--n`` below 1, ``--precision`` below 0; so are flags that do not
+  apply to the input: ``--n`` with ``--data``, ``--centered`` with
+  ``--cov``.
 * ``simulate``: 0 no convergence failures, 1 otherwise, 4 bad flags.
 * any command: 1 when standard output is closed before all output is
   written (for example piped into ``head``); nothing is printed.
@@ -277,6 +280,10 @@ def _cmd_check(args, out) -> int:
 def _cmd_fit(args, out) -> int:
     if args.cov is not None and args.n is None:
         raise _FlagError("--cov requires --n")
+    if args.data is not None and args.n is not None:
+        raise _FlagError("--n applies only to --cov; --data counts its cases")
+    if args.cov is not None and args.centered:
+        raise _FlagError("--centered applies only to --data")
     if args.n is not None and args.n < 1:
         raise _FlagError("--n must be at least 1")
     if not args.tol > 0:

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     DimensionMismatch,
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .graph import AncestralGraph
 from .mseparation import is_maximal
-from .params import IndexMap, ParamSet, _block_psi, _implied_sigma, _spd_inverse
+from .params import IndexMap, ParamSet, _block_psi, _cholesky, _implied_sigma, _spd_inverse
 from .stats import SampleStats, degrees_of_freedom, deviance, log_likelihood
 
 
@@ -137,33 +136,22 @@ def fit_undirected_ipf(
         raise DimensionMismatch("s_un does not match the graph")
     if p == 0:
         return np.zeros((0, 0))
-    try:
-        linalg.cholesky(s_un, lower=True)
-    except linalg.LinAlgError:
-        raise NotPositiveDefinite("s_un is not positive definite") from None
+    _cholesky(s_un, "s_un is not positive definite")
 
     cliques = sorted(sorted(c) for c in _maximal_cliques(g_un))
     scale = _correlation_scale(s_un)
 
     k = np.diag(1.0 / np.diag(s_un))
     all_idx = np.arange(p)
-    eye = np.eye(p)
     for _ in range(max_cycles):
         for cl in cliques:
             rest = np.setdiff1d(all_idx, cl, assume_unique=False)
-            scc = s_un[np.ix_(cl, cl)]
-            cho = linalg.cho_factor(scc, lower=True)
-            scc_inv = linalg.cho_solve(cho, np.eye(len(cl)))
+            update = _spd_inverse(s_un[np.ix_(cl, cl)], "s_un")
             if rest.size:
-                krr = k[np.ix_(rest, rest)]
                 krc = k[np.ix_(rest, cl)]
-                update = scc_inv + krc.T @ linalg.cho_solve(
-                    linalg.cho_factor(krr, lower=True), krc
-                )
-            else:
-                update = scc_inv
+                update = update + krc.T @ _spd_inverse(k[np.ix_(rest, rest)], "lam") @ krc
             k[np.ix_(cl, cl)] = 0.5 * (update + update.T)
-        w = linalg.cho_solve(linalg.cho_factor(k, lower=True), eye)
+        w = _spd_inverse(k, "lam")
         diff = np.abs(w - s_un) * scale
         err = max(np.max(diff[np.ix_(cl, cl)]) for cl in cliques)
         if err < tolerance:
@@ -252,14 +240,10 @@ def _icf_step(
         c_rows[len(plan.pa):, :] = a - a @ beta
 
     gram = c_rows @ s @ c_rows.T
+    gram = 0.5 * (gram + gram.T)
     moment = c_rows @ s[:, i]
-    try:
-        cho_g = linalg.cho_factor(0.5 * (gram + gram.T), lower=True)
-    except linalg.LinAlgError:
-        raise SingularDesign(
-            f"design for vertex {i} is numerically rank deficient"
-        ) from None
-    coef = linalg.cho_solve(cho_g, moment)
+    _cholesky(gram, f"design for vertex {i} is numerically rank deficient", SingularDesign)
+    coef = np.linalg.solve(gram, moment)
 
     w_cond = float(s[i, i] - coef @ moment)
     if w_cond <= 0:
@@ -468,12 +452,9 @@ def fit_dag_closed_form(
         if pa:
             spp = s[np.ix_(pa, pa)]
             spi = s[pa, i]
-            try:
-                coef = linalg.cho_solve(linalg.cho_factor(spp, lower=True), spi)
-            except linalg.LinAlgError:
-                raise SingularDesign(
-                    f"parent covariance for vertex {i} is rank deficient"
-                ) from None
+            msg = f"parent covariance for vertex {i} is rank deficient"
+            _cholesky(spp, msg, SingularDesign)
+            coef = np.linalg.solve(spp, spi)
             beta[i, pa] = coef
             omega[pos, pos] = float(s[i, i] - coef @ spi)
         else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 from .graph import AncestralGraph
@@ -56,15 +55,27 @@ class IndexMap:
         return [self.position(v) for v in vs]
 
 
+def _cholesky(m: np.ndarray, message: str, error=NotPositiveDefinite) -> np.ndarray:
+    """Lower Cholesky factor of ``m``; raises ``error(message)`` when ``m`` is
+    not finite or not positive definite.
+
+    Finiteness is checked on all of ``m`` first: numpy reads one triangle
+    and returns NaNs, rather than raising, for some non-finite input.
+    """
+    if not np.isfinite(m).all():
+        raise error(message)
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise error(message) from None
+
+
 def _assert_spd(m: np.ndarray, what: str) -> None:
     if m.size == 0:
         return
     if not np.allclose(m, m.T, atol=1e-10):
         raise NotPositiveDefinite(f"{what} is not symmetric")
-    try:
-        linalg.cholesky(m, lower=True)
-    except linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from None
+    _cholesky(m, f"{what} is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -159,11 +170,8 @@ def _block_psi(n, un, disp, psi_un, omega) -> np.ndarray:
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    try:
-        c = linalg.cho_factor(m, lower=True)
-    except linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from None
-    inv = linalg.cho_solve(c, np.eye(m.shape[0]))
+    _cholesky(m, f"{what} is not positive definite")
+    inv = np.linalg.inv(m)
     return 0.5 * (inv + inv.T)
 
 
@@ -201,8 +209,6 @@ def conditional_variance(params: ParamSet, i) -> float:
     if not rest:
         return float(w_ii)
     w_ri = params.omega[rest, pos]
-    try:
-        c = linalg.cho_factor(params.omega[np.ix_(rest, rest)], lower=True)
-    except linalg.LinAlgError:
-        raise SingularMatrix("omega[-i, -i] is not positive definite") from None
-    return float(w_ii - w_ri @ linalg.cho_solve(c, w_ri))
+    w_rr = params.omega[np.ix_(rest, rest)]
+    _cholesky(w_rr, "omega[-i, -i] is not positive definite", SingularMatrix)
+    return float(w_ii - w_ri @ np.linalg.solve(w_rr, w_ri))

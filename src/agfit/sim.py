@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import AgfitError, NotPositiveDefinite
 from .fit import FitResult, fit
 from .graph import AncestralGraph
+from .params import _cholesky
 from .stats import empirical_covariance
 
 
@@ -75,10 +75,7 @@ def sample_mvn(sigma: np.ndarray, n: int, seed) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    try:
-        chol = linalg.cholesky(sigma, lower=True)
-    except linalg.LinAlgError:
-        raise NotPositiveDefinite("sigma is not positive definite") from None
+    chol = _cholesky(sigma, "sigma is not positive definite")
     rng = np.random.default_rng(seed)
     return chol @ rng.standard_normal((sigma.shape[0], n))
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import DimensionMismatch, InvalidDf, NotPositiveDefinite
+from .params import _cholesky
 
 
 @dataclass(frozen=True)
@@ -27,21 +28,20 @@ class SampleStats:
     def from_covariance(cls, s, n: int, *, mean_adjusted: bool = False) -> "SampleStats":
         """Wrap an externally supplied covariance matrix.
 
-        The matrix must be symmetric positive definite; the case count is
-        taken on trust (a correlation matrix with its sample size, for
-        example, is accepted regardless of how small ``n`` is).
+        The matrix must be finite, symmetric and positive definite; the
+        case count is taken on trust (a correlation matrix with its sample
+        size, for example, is accepted regardless of how small ``n`` is).
         """
         s = np.array(s, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise DimensionMismatch("covariance matrix must be square")
         if n < 1:
             raise ValueError("sample size must be at least 1")
+        if not np.isfinite(s).all():
+            raise NotPositiveDefinite("covariance matrix is not finite")
         if not np.allclose(s, s.T, atol=1e-10):
             raise NotPositiveDefinite("covariance matrix is not symmetric")
-        try:
-            linalg.cholesky(s, lower=True)
-        except linalg.LinAlgError:
-            raise NotPositiveDefinite("covariance matrix is not positive definite") from None
+        _cholesky(s, "covariance matrix is not positive definite")
         return cls(0.5 * (s + s.T), int(n), s.shape[0], mean_adjusted)
 
 
@@ -64,13 +64,9 @@ def empirical_covariance(y, *, mean_adjusted: bool = False) -> SampleStats:
     return SampleStats.from_covariance(s, n, mean_adjusted=mean_adjusted)
 
 
-def _chol_logdet(m: np.ndarray, what: str):
-    try:
-        c = linalg.cho_factor(m, lower=True)
-    except linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from None
-    logdet = 2.0 * np.sum(np.log(np.diag(c[0])))
-    return c, float(logdet)
+def _logdet(m: np.ndarray, what: str) -> float:
+    c = _cholesky(m, f"{what} is not positive definite")
+    return 2.0 * float(np.sum(np.log(np.diagonal(c))))
 
 
 def log_likelihood(sigma: np.ndarray, stats: SampleStats) -> float:
@@ -81,8 +77,8 @@ def log_likelihood(sigma: np.ndarray, stats: SampleStats) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (stats.p, stats.p):
         raise DimensionMismatch("sigma does not match the sample dimension")
-    c, logdet = _chol_logdet(sigma, "sigma")
-    trace = float(np.trace(linalg.cho_solve(c, stats.s)))
+    logdet = _logdet(sigma, "sigma")
+    trace = float(np.trace(np.linalg.solve(sigma, stats.s)))
     return -0.5 * stats.n * (logdet + trace)
 
 
@@ -95,9 +91,9 @@ def deviance(sigma_hat: np.ndarray, stats: SampleStats) -> float:
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if sigma_hat.shape != (stats.p, stats.p):
         raise DimensionMismatch("sigma_hat does not match the sample dimension")
-    c, logdet_hat = _chol_logdet(sigma_hat, "sigma_hat")
-    _, logdet_s = _chol_logdet(stats.s, "sample covariance")
-    trace = float(np.trace(linalg.cho_solve(c, stats.s)))
+    logdet_hat = _logdet(sigma_hat, "sigma_hat")
+    logdet_s = _logdet(stats.s, "sample covariance")
+    trace = float(np.trace(np.linalg.solve(sigma_hat, stats.s)))
     return stats.n * (trace - (logdet_s - logdet_hat) - stats.p)
 
 
@@ -113,11 +109,27 @@ def degrees_of_freedom(g) -> int:
 
 
 def chi_square_pvalue(dev: float, df: int) -> float:
-    """Upper tail of the chi-square distribution at the observed deviance."""
+    """Upper tail of the chi-square distribution at the observed deviance.
+
+    Closed form for integer df in x = dev / 2, with the terms formed in log
+    space so that they do not underflow: sum_{i < df/2} e^-x x^i / i! for
+    even df, erfc(sqrt(x)) + sum_{i < (df-1)/2} e^-x x^(i+1/2) / Gamma(i+3/2)
+    for odd df.
+    """
     if int(df) != df or df < 1:
         raise InvalidDf(f"degrees of freedom must be a positive integer, got {df}")
     if dev < 0:
         if dev < -1e-8:
             raise ValueError(f"deviance must be nonnegative, got {dev}")
         dev = 0.0
-    return float(special.gammaincc(df / 2.0, dev / 2.0))
+    x = dev / 2.0
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    half, odd = divmod(int(df), 2)
+    a = 0.5 * odd
+    terms = [
+        math.exp((i + a) * math.log(x) - x - math.lgamma(i + a + 1)) for i in range(half)
+    ]
+    return math.fsum(terms + [math.erfc(math.sqrt(x))] * odd)

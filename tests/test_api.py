@@ -1,7 +1,9 @@
-"""The public names of the package and the README's account of them."""
+"""Public names, what importing the package loads, and the README's account."""
 
 import dataclasses
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import agfit
@@ -28,3 +30,15 @@ def test_readme_fitconfig_table_lists_every_field():
             break
         rows.append(re.match(r"\| `(\w+)` \|", line).group(1))
     assert rows == [f.name for f in dataclasses.fields(FitConfig)]
+
+
+def test_import_loads_no_scipy(agfit_env):
+    code = (
+        "import sys, agfit, agfit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=agfit_env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -170,6 +170,32 @@ class TestFitText:
         assert err.startswith("usage error: ")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--cov", MOTH_CORR, "--n", "72", "--centered"], "--centered"),
+            (["--data", MOTH_CORR, "--n", "72"], "--n"),
+        ],
+    )
+    def test_flag_for_the_other_input_is_a_usage_error(self, capsys, argv, flag):
+        rc, out, err = run(capsys, "fit", "--graph", MOTH_GRAPH, *argv)
+        assert rc == 4
+        assert err.startswith("usage error: ") and flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_covariance_is_a_model_error(self, capsys, tmp_path, cell):
+        gpath = tmp_path / "chain.csv"
+        gpath.write_text("a,b\n0,1\n0,0\n")
+        cpath = tmp_path / "cov.csv"
+        cpath.write_text(f"a,b\n1.0,0.5\n0.5,{cell}\n")
+        rc, out, err = run(
+            capsys, "fit", "--graph", str(gpath), "--cov", str(cpath), "--n", "50"
+        )
+        assert rc == 4
+        assert err == "error: covariance matrix is not finite\n"
+        assert out == ""
+
     def test_non_convergence_exit(self, capsys):
         rc, out, err = run(
             capsys,

@@ -109,6 +109,14 @@ class TestSampling:
         with pytest.raises(NotPositiveDefinite):
             sample_mvn(bad, 10, seed=0)
 
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, cell, value):
+        bad = np.array([[1.0, 0.5], [0.5, 1.0]])
+        bad[cell] = value
+        with pytest.raises(NotPositiveDefinite):
+            sample_mvn(bad, 10, seed=0)
+
 
 class TestScalingExperiment:
     def test_small_run_shape_and_summaries(self):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import oracles
 from agfit import (
@@ -59,6 +60,20 @@ class TestSampleStats:
     def test_from_covariance_checks_symmetry(self):
         with pytest.raises(NotPositiveDefinite):
             SampleStats.from_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]), 10)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1)])
+    def test_from_covariance_rejects_non_finite(self, value, cell):
+        s = np.array([[2.0, 0.5], [0.5, 1.0]])
+        s[cell] = value
+        with pytest.raises(NotPositiveDefinite, match="not finite"):
+            SampleStats.from_covariance(s, 10)
+
+    def test_empirical_covariance_rejects_non_finite_data(self):
+        y = np.random.default_rng(3).standard_normal((3, 20))
+        y[1, 4] = np.inf
+        with pytest.raises(NotPositiveDefinite, match="not finite"):
+            empirical_covariance(y)
 
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -190,3 +205,23 @@ class TestChiSquarePvalue:
     def test_monotone_in_deviance(self):
         vals = [chi_square_pvalue(d, 4) for d in (0.1, 1.0, 5.0, 20.0)]
         assert vals == sorted(vals, reverse=True)
+
+    def test_infinite_deviance(self):
+        assert chi_square_pvalue(math.inf, 3) == 0.0
+
+    def test_matches_scipy_for_small_df(self):
+        fixed = (1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
+        ratios = (0.05, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0, 8.0)
+        for df in range(1, 201):
+            for dev in fixed + tuple(df * r for r in ratios):
+                want = special.gammaincc(df / 2.0, dev / 2.0)
+                got = chi_square_pvalue(dev, df)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (df, dev)
+
+    @pytest.mark.parametrize("df", [1000, 10001, 99999, 100000])
+    def test_matches_scipy_for_large_df(self, df):
+        for ratio in (0.5, 0.9, 0.99, 1.0, 1.01, 1.05, 1.1):
+            want = special.gammaincc(df / 2.0, df * ratio / 2.0)
+            assert want > 0
+            got = chi_square_pvalue(df * ratio, df)
+            assert got == pytest.approx(want, rel=1e-9, abs=0), ratio
