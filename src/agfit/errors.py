@@ -65,10 +65,6 @@ class OverlappingSets(GraphError):
     """Vertex sets of a separation query are not disjoint or are empty."""
 
 
-class GraphTooLarge(GraphError):
-    """An exhaustive search was requested on a graph above the size guard."""
-
-
 class NotMaximal(GraphError):
     """The graph has a non-adjacent pair that no conditioning set separates."""
 

@@ -13,25 +13,22 @@ the pair, separates it; a pair fails that test exactly when an inducing
 path joins it, and adding a bidirected edge between every such pair makes
 the graph maximal (Richardson and Spirtes, 2002, Theorems 4.2 and 5.1).
 
-Listing the smallest separating set of a pair still enumerates
-conditioning sets by size and is therefore exponential in the vertex
-count; ``separating_set`` and ``implied_pairwise_independences`` refuse
-graphs above 16 vertices.
+Smallest separating sets are polynomial too, with no size limit: every
+smallest m-separator of i and j lies in A = ant({i, j}), where it is a
+minimum i-j vertex cut of the augmented graph of G_A (van der Zander,
+Liskiewicz and Textor, 2019); ``separating_set`` returns the
+lexicographically first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import GraphTooLarge, OverlappingSets
+from .errors import OverlappingSets
 from .graph import AncestralGraph
 
 TAIL = 0
 ARROW = 1
-
-# Largest graph the exhaustive separating-set search accepts.
-_MAX_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,6 @@ def m_separated(g: AncestralGraph, a, b, c=frozenset()) -> bool:
     )
 
 
-def _guard_size(g: AncestralGraph):
-    if g.n > _MAX_VERTICES:
-        raise GraphTooLarge(
-            f"exhaustive search over conditioning sets refused for {g.n} vertices "
-            f"(limit {_MAX_VERTICES})"
-        )
-
-
 def _reachable(start, step) -> set:
     """Vertices reached from ``start`` by one or more moves of ``step``."""
     out = set()
@@ -183,24 +172,83 @@ def _inseparable_pairs(g: AncestralGraph) -> list:
     return [pair for pair in sorted(pairs) if _inseparable(g, *pair)]
 
 
+def _augmented_graph(g: AncestralGraph, i: int, j: int) -> dict:
+    """Neighbour sets of the augmented graph of G_A, A = ant({i, j}): two
+    vertices of A are adjacent when adjacent in G, or when both lie in D or
+    pa(D) for one district D of G_A, since a collider path joins them."""
+    a = _reachable((i, j), lambda v: g.pa(v) | g.ne(v)) | {i, j}
+    nbr = {v: (g.ne(v) | g.pa(v) | g.ch(v) | g.sp(v)) & a for v in a}
+    todo = set(a)
+    while todo:
+        v = todo.pop()
+        district = _reachable((v,), lambda u: g.sp(u) & a) | {v}
+        todo -= district
+        married = district.union(*(g.pa(u) for u in district))
+        for u in married:
+            nbr[u] |= married - {u}
+    return nbr
+
+
+def _cut_size(nbr: dict, i: int, j: int, removed) -> int:
+    """Size of a smallest i-j vertex cut of the graph ``nbr`` less ``removed``.
+
+    By Menger's theorem, the most i-j paths with no inner vertex in common,
+    found by augmenting paths once each vertex v is split into an entry
+    (v, 0) and an exit (v, 1) joined by an arc of capacity 1.
+    """
+    source, sink = (i, 1), (j, 0)
+    flow = set()  # saturated arcs
+    paths = 0
+    while True:
+        parent = {source: None}
+        stack = [source]
+        while stack and sink not in parent:
+            x = stack.pop()
+            v, side = x
+            if side:  # on to a neighbour's entry, or back to the entry of v
+                steps = [(w, 0) for w in nbr[v] if w not in removed and (x, (w, 0)) not in flow]
+                steps += [(v, 0)] if ((v, 0), x) in flow else []
+            else:  # on to the exit of v, or back along the flow into v
+                steps = [] if (x, (v, 1)) in flow else [(v, 1)]
+                steps += [(u, 1) for u in nbr[v] if ((u, 1), x) in flow]
+            for y in steps:
+                if y not in parent:
+                    parent[y] = x
+                    stack.append(y)
+        if sink not in parent:
+            return paths
+        y = sink
+        while parent[y] is not None:
+            x = parent[y]
+            if (y, x) in flow:
+                flow.remove((y, x))
+            else:
+                flow.add((x, y))
+            y = x
+        paths += 1
+
+
 def separating_set(g: AncestralGraph, i, j):
     """Smallest separating set for a non-adjacent pair, or None.
 
-    Candidates are scanned by size and then lexicographically, so the
-    returned set is the first one in that order.  Returns None for an
-    adjacent pair and for a pair that no subset of the remaining vertices
-    separates.
+    In polynomial time at every graph size, returns the lexicographically
+    first minimum i-j cut of the augmented graph of G_A, A = ant({i, j}):
+    vertices of A are kept in ascending order while each lowers the cut
+    size by one.  None means the pair is adjacent or inseparable.
     """
-    _guard_size(g)
     i = g._check_vertex(i)
     j = g._check_vertex(j)
     if g.is_adjacent(i, j) or _inseparable(g, i, j):
         return None
-    rest = [v for v in range(g.n) if v != i and v != j]
-    for size in range(len(rest) + 1):
-        for cand in combinations(rest, size):
-            if not m_connecting_path_exists(g, i, j, frozenset(cand)):
-                return frozenset(cand)
+    nbr = _augmented_graph(g, i, j)
+    cut = set()
+    k = _cut_size(nbr, i, j, cut)
+    for v in sorted(nbr.keys() - {i, j}):
+        if len(cut) == k:
+            break
+        if _cut_size(nbr, i, j, cut | {v}) < k - len(cut):
+            cut.add(v)
+    return frozenset(cut)
 
 
 def implied_pairwise_independences(g: AncestralGraph) -> tuple:
@@ -210,7 +258,6 @@ def implied_pairwise_independences(g: AncestralGraph) -> tuple:
     lexicographic order) or ``holds=False`` when the pair cannot be
     separated.
     """
-    _guard_size(g)
     out = []
     for i in range(g.n):
         for j in range(i + 1, g.n):

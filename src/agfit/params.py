@@ -70,12 +70,17 @@ def _cholesky(m: np.ndarray, message: str, error=NotPositiveDefinite) -> np.ndar
         raise error(message) from None
 
 
-def _assert_spd(m: np.ndarray, what: str) -> None:
-    if m.size == 0:
-        return
-    if not np.allclose(m, m.T, atol=1e-10):
+def _spd_cholesky(m: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``m``, or ``NotPositiveDefinite`` naming ``what``
+    when ``m`` is not finite, symmetric and positive definite.  Symmetry is
+    judged in correlation units like the stop rule of ``fit``, so the verdict
+    does not depend on scale: |m_ij - m_ji| <= 1e-10 sqrt(|m_ii m_jj|)."""
+    if not np.isfinite(m).all():
+        raise NotPositiveDefinite(f"{what} is not finite")
+    d = np.sqrt(np.abs(np.diagonal(m)))
+    if (np.abs(m - m.T) > 1e-10 * np.outer(d, d)).any():
         raise NotPositiveDefinite(f"{what} is not symmetric")
-    _cholesky(m, f"{what} is not positive definite")
+    return _cholesky(m, f"{what} is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,8 @@ class ParamSet:
                     f"omega[{a}, {b}] nonzero but vertices {va}, {vb} share no bidirected edge"
                 )
 
-        _assert_spd(self.lam, "lam")
-        _assert_spd(self.omega, "omega")
+        _spd_cholesky(self.lam, "lam")
+        _spd_cholesky(self.omega, "omega")
 
 
 def psi(params: ParamSet) -> np.ndarray:

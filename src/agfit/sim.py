@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AgfitError, NotPositiveDefinite
-from .fit import FitResult, fit
+from .fit import fit
 from .graph import AncestralGraph
-from .params import _cholesky
+from .params import _spd_cholesky
 from .stats import empirical_covariance
 
 
@@ -69,13 +69,13 @@ def sample_mvn(sigma: np.ndarray, n: int, seed) -> np.ndarray:
     """Zero-mean Gaussian sample as a variables-by-cases matrix.
 
     Draws standard normals from ``numpy.random.default_rng(seed)`` and
-    applies the lower Cholesky factor of ``sigma``; a fixed seed gives a
-    bit-identical sample on every run.
+    applies the lower Cholesky factor of the symmetric ``sigma``; a fixed
+    seed gives a bit-identical sample on every run.
     """
     sigma = np.asarray(sigma, dtype=float)
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    chol = _cholesky(sigma, "sigma is not positive definite")
+    chol = _spd_cholesky(sigma, "sigma")
     rng = np.random.default_rng(seed)
     return chol @ rng.standard_normal((sigma.shape[0], n))
 
@@ -185,28 +185,10 @@ def run_scaling_experiment(
             stats = empirical_covariance(y)
             t0 = time.process_time()
             try:
-                res: FitResult = fit(graph, stats)
-                elapsed = time.process_time() - t0
-                rows.append(
-                    ReplicateResult(
-                        p=p,
-                        replicate=rep,
-                        iterations=res.iterations,
-                        converged=res.converged,
-                        cpu_seconds=elapsed,
-                        deviance=res.deviance,
-                    )
-                )
+                res = fit(graph, stats)
+                iterations, converged, dev = res.iterations, res.converged, res.deviance
             except (AgfitError, np.linalg.LinAlgError):
-                elapsed = time.process_time() - t0
-                rows.append(
-                    ReplicateResult(
-                        p=p,
-                        replicate=rep,
-                        iterations=0,
-                        converged=False,
-                        cpu_seconds=elapsed,
-                        deviance=float("nan"),
-                    )
-                )
+                iterations, converged, dev = 0, False, float("nan")
+            elapsed = time.process_time() - t0
+            rows.append(ReplicateResult(p, rep, iterations, converged, elapsed, dev))
     return ExperimentReport(rho=rho, seed=seed, rows=tuple(rows))

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDf, NotPositiveDefinite
-from .params import _cholesky
+from .errors import DimensionMismatch, InvalidDf
+from .params import _cholesky, _spd_cholesky
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,7 @@ class SampleStats:
             raise DimensionMismatch("covariance matrix must be square")
         if n < 1:
             raise ValueError("sample size must be at least 1")
-        if not np.isfinite(s).all():
-            raise NotPositiveDefinite("covariance matrix is not finite")
-        if not np.allclose(s, s.T, atol=1e-10):
-            raise NotPositiveDefinite("covariance matrix is not symmetric")
-        _cholesky(s, "covariance matrix is not positive definite")
+        _spd_cholesky(s, "covariance matrix")
         return cls(0.5 * (s + s.T), int(n), s.shape[0], mean_adjusted)
 
 

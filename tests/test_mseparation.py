@@ -11,6 +11,7 @@ from agfit import (
     AncestralGraph,
     SampleStats,
     SeparationQuery,
+    bidirected_cycle_graph,
     fit,
     implied_pairwise_independences,
     is_maximal,
@@ -18,7 +19,7 @@ from agfit import (
     maximal_completion,
     separating_set,
 )
-from agfit.errors import GraphTooLarge, NotMaximal, OverlappingSets
+from agfit.errors import NotMaximal, OverlappingSets
 
 
 @pytest.fixture
@@ -149,6 +150,28 @@ class TestUndirectedReduction:
                 cut = not nx.has_path(h, i, j)
                 assert m_separated(g, {i}, {j}, c) == cut
 
+    def test_smallest_set_is_a_minimum_vertex_cut(self):
+        # larger than the graphs of the exhaustive oracle below; the size
+        # of the set is checked against networkx's minimum vertex cut
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            p = int(rng.integers(9, 12))
+            edges = [
+                (i, j)
+                for i, j in combinations(range(p), 2)
+                if rng.random() < 0.35
+            ]
+            g = AncestralGraph(p, undirected=edges)
+            nxg = nx.Graph(edges)
+            nxg.add_nodes_from(range(p))
+            for i, j in combinations(range(p), 2):
+                if nxg.has_edge(i, j):
+                    continue
+                c = separating_set(g, i, j)
+                cut = nx.minimum_node_cut(nxg, i, j) if nx.has_path(nxg, i, j) else ()
+                assert len(c) == len(cut)
+                assert m_separated(g, {i}, {j}, c)
+
 
 class TestSeparatingSet:
     def test_smallest_is_returned(self, mixed5):
@@ -165,10 +188,33 @@ class TestSeparatingSet:
         )
         assert separating_set(g, 0, 3) is None
 
-    def test_size_guard(self):
-        g = AncestralGraph(20)
-        with pytest.raises(GraphTooLarge):
-            separating_set(g, 0, 1)
+    def test_flow_rerouted_through_a_vertex(self):
+        # the second disjoint 0-1 path is found only by cancelling flow
+        # through a vertex of the first, from its exit back to its entry
+        g = AncestralGraph(
+            9,
+            undirected=[(0, 3), (0, 5), (0, 8), (1, 2), (1, 4), (2, 6), (2, 8),
+                        (3, 4), (3, 6), (3, 7), (5, 8)],
+        )
+        assert separating_set(g, 0, 1) == frozenset({2, 3})
+
+    def test_gadget_and_chain_in_twenty_vertices(self):
+        # the 4-vertex inducing-path gadget followed by a directed chain
+        g = AncestralGraph(
+            20,
+            directed=[(1, 3), (2, 0)] + [(v, v + 1) for v in range(3, 19)],
+            bidirected=[(0, 1), (1, 2), (2, 3)],
+        )
+        assert separating_set(g, 0, 3) is None
+        assert separating_set(g, 3, 5) == frozenset({4})
+        assert separating_set(g, 1, 19) == frozenset({3})
+
+    def test_bidirected_cycle_of_twenty(self):
+        g = bidirected_cycle_graph(20)
+        assert separating_set(g, 0, 10) == frozenset()
+        records = implied_pairwise_independences(g)
+        assert len(records) == 170
+        assert all(st.holds and st.c == frozenset() for st in records)
 
 
 class TestImpliedIndependences:
@@ -230,31 +276,37 @@ class TestMaximality:
             assert is_maximal(oracles.random_dag(rng, 5))
 
 
-def _exhaustive_inseparable_pairs(g):
-    """Non-adjacent pairs that no subset of the other vertices separates."""
-    out = []
+def _exhaustive_separating_sets(g):
+    """First separating set of each non-adjacent pair, or None.
+
+    Subsets of the other vertices are scanned by size and then
+    lexicographically, so a set is the lexicographically first of the
+    smallest ones.
+    """
+    out = {}
     for i, j in combinations(range(g.n), 2):
         if g.is_adjacent(i, j):
             continue
         rest = [v for v in range(g.n) if v != i and v != j]
-        if all(
-            not m_separated(g, {i}, {j}, set(c))
-            for r in range(len(rest) + 1)
-            for c in combinations(rest, r)
-        ):
-            out.append((i, j))
+        out[i, j] = next(
+            (
+                frozenset(c)
+                for r in range(len(rest) + 1)
+                for c in combinations(rest, r)
+                if m_separated(g, {i}, {j}, set(c))
+            ),
+            None,
+        )
     return out
 
 
 class TestMaximalityAgainstExhaustiveSearch:
     def _check(self, g):
-        want = _exhaustive_inseparable_pairs(g)
+        sets = _exhaustive_separating_sets(g)
+        want = [pair for pair, c in sets.items() if c is None]
         assert is_maximal(g) == (not want)
-        for i, j in combinations(range(g.n), 2):
-            if not g.is_adjacent(i, j):
-                c = separating_set(g, i, j)
-                assert (c is None) == ((i, j) in want)
-                assert c is None or m_separated(g, {i}, {j}, c)
+        for (i, j), c in sets.items():
+            assert separating_set(g, i, j) == c
         h = maximal_completion(g)
         assert is_maximal(h)
         assert sorted(set(h.bidirected_pairs) - set(g.bidirected_pairs)) == want

@@ -99,6 +99,19 @@ class TestForGraph:
         with pytest.raises(NotPositiveDefinite):
             ParamSet.for_graph(mixed5, omega=omega)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    def test_symmetry_check_does_not_depend_on_scale(self, scale):
+        g = AncestralGraph(2, bidirected=[(0, 1)])
+        omega = np.array([[1.0, 0.5], [0.2, 1.0]]) * scale
+        with pytest.raises(NotPositiveDefinite, match="omega is not symmetric"):
+            ParamSet.for_graph(g, omega=omega)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_symmetric_input_accepted_at_any_scale(self, scale):
+        g = AncestralGraph(2, bidirected=[(0, 1)])
+        omega = np.array([[1.0, 0.5], [0.5, 1.0]]) * scale
+        np.testing.assert_array_equal(ParamSet.for_graph(g, omega=omega).omega, omega)
+
 
 class TestBuildSigma:
     def test_matches_direct_inverse_route(self):

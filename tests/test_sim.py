@@ -109,6 +109,14 @@ class TestSampling:
         with pytest.raises(NotPositiveDefinite):
             sample_mvn(bad, 10, seed=0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    def test_asymmetric_sigma_rejected(self, scale):
+        # only the lower triangle is factored, so [[1, 5], [0.5, 1]] would
+        # otherwise be sampled as if its correlation were 0.5
+        bad = np.array([[1.0, 5.0], [0.5, 1.0]]) * scale
+        with pytest.raises(NotPositiveDefinite, match="sigma is not symmetric"):
+            sample_mvn(bad, 10, seed=0)
+
     @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, cell, value):

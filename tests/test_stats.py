@@ -61,6 +61,16 @@ class TestSampleStats:
         with pytest.raises(NotPositiveDefinite):
             SampleStats.from_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]), 10)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    def test_symmetry_check_does_not_depend_on_scale(self, scale):
+        with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+            SampleStats.from_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]) * scale, 10)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_symmetric_input_accepted_at_any_scale(self, scale):
+        s = np.array([[1.0, 0.5], [0.5, 1.0]]) * scale
+        np.testing.assert_array_equal(SampleStats.from_covariance(s, 10).s, s)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("cell", [(0, 0), (0, 1)])
     def test_from_covariance_rejects_non_finite(self, value, cell):
