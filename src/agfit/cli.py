@@ -11,7 +11,8 @@ Exit codes
   ``--n`` below 1, ``--precision`` below 0; so are flags that do not
   apply to the input: ``--n`` with ``--data``, ``--centered`` with
   ``--cov``.
-* ``simulate``: 0 no convergence failures, 1 otherwise, 4 bad flags.
+* ``simulate``: 0 no convergence failures, 1 otherwise, 4 bad flags or
+  an ``--out`` file that cannot be written (checked before the run).
 * any command: 1 when standard output is closed before all output is
   written (for example piped into ``head``); nothing is printed.
 """
@@ -334,23 +335,27 @@ def _cmd_simulate(args, out) -> int:
     if args.replicates < 1:
         raise _FlagError("need at least one replicate")
     p_values = list(range(args.p_min, args.p_max + 1, args.step))
+    try:  # before the experiment, so that a bad path fails at once
+        dest = open(args.out, "w", newline="") if args.out else out
+    except OSError as exc:
+        raise _FlagError(f"cannot write {args.out}: {exc.strerror}") from None
     try:
         report = run_scaling_experiment(
             p_values, replicates=args.replicates, rho=args.rho, seed=args.seed
         )
+        for s in report.summaries():
+            print(
+                f"p={s.p} replicates={s.replicates} mean_it={s.mean_iterations:.2f} "
+                f"min={s.min_iterations} max={s.max_iterations} "
+                f"failures={s.failures} mean_cpu={s.mean_cpu_seconds:.4f}s",
+                file=sys.stderr,
+            )
+        report.to_csv(dest)
     except NotPositiveDefinite as exc:
         raise _FlagError(str(exc)) from None
-    for s in report.summaries():
-        print(
-            f"p={s.p} replicates={s.replicates} mean_it={s.mean_iterations:.2f} "
-            f"min={s.min_iterations} max={s.max_iterations} "
-            f"failures={s.failures} mean_cpu={s.mean_cpu_seconds:.4f}s",
-            file=sys.stderr,
-        )
-    if args.out:
-        report.to_csv(args.out)
-    else:
-        report.to_csv(out)
+    finally:
+        if dest is not out:
+            dest.close()
     return 0 if report.failures == 0 else 1
 
 

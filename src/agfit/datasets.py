@@ -37,11 +37,6 @@ MOTH_CORRELATION = np.array(
 MOTH_MODEL_LABELS = ("max", "wind", "rain", "cloud", "moth")
 
 
-def moth_correlation():
-    """Labels, correlation matrix and sample size of the moth data."""
-    return MOTH_LABELS, MOTH_CORRELATION.copy(), MOTH_N
-
-
 def moth_stats() -> SampleStats:
     """Sample statistics of the five model variables, in model order."""
     idx = [MOTH_LABELS.index(lab) for lab in MOTH_MODEL_LABELS]

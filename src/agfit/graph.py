@@ -38,14 +38,6 @@ class Edge(NamedTuple):
     b: int
 
 
-class Relations(NamedTuple):
-    """Undirected neighbours, spouses and parents of one vertex."""
-
-    ne: frozenset
-    sp: frozenset
-    pa: frozenset
-
-
 class Decomposition(NamedTuple):
     """Split of a graph into its undirected block and its arrowhead block.
 
@@ -231,10 +223,6 @@ class AncestralGraph:
     def ch(self, i) -> frozenset:
         """Children of ``i``."""
         return self._ch[self._check_vertex(i)]
-
-    def relations(self, i) -> Relations:
-        i = self._check_vertex(i)
-        return Relations(self._ne[i], self._sp[i], self._pa[i])
 
     def is_adjacent(self, i, j) -> bool:
         i, j = self._check_vertex(i), self._check_vertex(j)

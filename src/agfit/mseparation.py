@@ -7,11 +7,13 @@ outside C.  Queries are answered by reachability over (vertex, entering
 mark) states, which visits each directed edge at most twice instead of
 enumerating paths.
 
-Maximality checking and completion are polynomial.  A non-adjacent pair
-i, j can be m-separated if and only if the anterior set of {i, j}, less
-the pair, separates it; a pair fails that test exactly when an inducing
-path joins it, and adding a bidirected edge between every such pair makes
-the graph maximal (Richardson and Spirtes, 2002, Theorems 4.2 and 5.1).
+Maximality checking and completion need no walk.  A non-adjacent pair
+i, j can be m-separated if and only if A = ant({i, j}) less the pair
+separates it.  That fails exactly when a collider path
+i *-> d1 <-> ... <-> dk <-* j runs inside A, which in an ancestral graph
+means that i and j lie in one district of G_A.  Adding a bidirected edge
+between every such pair makes the graph maximal (Richardson and Spirtes,
+2002, Theorems 3.18, 4.2 and 5.1).  Only the public queries walk.
 
 Smallest separating sets are polynomial too, with no size limit: every
 smallest m-separator of i and j lies in A = ant({i, j}), where it is a
@@ -139,33 +141,47 @@ def _reachable(start, step) -> set:
     return out
 
 
+def _anterior(g: AncestralGraph, i: int, j: int) -> set:
+    """ant({i, j}): the pair and every vertex with a path of directed and
+    undirected edges, pointing towards the pair, into it."""
+    return _reachable((i, j), lambda v: g.pa(v) | g.ne(v)) | {i, j}
+
+
+def _district(g: AncestralGraph, start, a) -> set:
+    """``start`` and the vertices joined to it by bidirected paths inside ``a``."""
+    return _reachable(start, lambda u: g.sp(u) & a) | set(start)
+
+
 def _inseparable(g: AncestralGraph, i: int, j: int) -> bool:
     """True when no set m-separates the non-adjacent pair ``i``, ``j``.
 
-    Some set separates the pair exactly when the anterior set of {i, j}
-    (closed under parents and undirected neighbours) minus the pair does.
-    Ancestors alone, without undirected neighbours, get this wrong.
+    That happens exactly when i and j are adjacent in the augmented graph
+    of G_A, A = ant({i, j}), that is, when a collider path
+    i *-> d1 <-> ... <-> dk <-* j runs inside A (Richardson and Spirtes,
+    2002, Theorems 3.18 and 4.2).  Its end edges are bidirected too: an
+    edge i -> d1 in A makes d1, and so i, an ancestor of j; then dk, an
+    ancestor of i or j, is an ancestor of j, which dk <-* j rules out.
+    With i and j swapped the same holds, so the test is whether i and j
+    lie in one district of G_A.
     """
-    anterior = _reachable((i, j), lambda v: g.pa(v) | g.ne(v))
-    return m_connecting_path_exists(g, i, j, anterior - {i, j})
+    return j in _district(g, (i,), _anterior(g, i, j))
 
 
 def _inseparable_pairs(g: AncestralGraph) -> list:
     """Non-adjacent pairs (i, j), i < j, that no set m-separates, in order.
 
-    Such a pair is joined by an inducing path i *-> v1 <-> ... <-> vk <-* j
-    with k >= 2 whose inner vertices are all ancestors of i or j.  In an
-    ancestral graph v1 cannot be an ancestor of i, so v1 is a proper
-    ancestor of j, and v1 has a spouse.  Only pairs of a parent or spouse
-    i of such a v1 and a proper descendant j of v1 are tested: the test
-    is a reachability search, too costly to run on every pair.
+    Such a pair is joined by a path i <-> v1 <-> ... <-> vk <-> j inside
+    ant({i, j}).  The spouse v1 of i is not an ancestor of i, so it is a
+    proper ancestor of j.  Only pairs of a spouse i of a vertex v1 with
+    children and a proper descendant j of v1 are tested: each test runs
+    an anterior search, too costly to repeat on every pair.
     """
     pairs = set()
     for v in range(g.n):
         if not g.sp(v) or not g.ch(v):
             continue
         below = _reachable((v,), g.ch)
-        for i in g.pa(v) | g.sp(v):
+        for i in g.sp(v):
             for j in below:
                 if not g.is_adjacent(i, j):
                     pairs.add((min(i, j), max(i, j)))
@@ -176,12 +192,11 @@ def _augmented_graph(g: AncestralGraph, i: int, j: int) -> dict:
     """Neighbour sets of the augmented graph of G_A, A = ant({i, j}): two
     vertices of A are adjacent when adjacent in G, or when both lie in D or
     pa(D) for one district D of G_A, since a collider path joins them."""
-    a = _reachable((i, j), lambda v: g.pa(v) | g.ne(v)) | {i, j}
+    a = _anterior(g, i, j)
     nbr = {v: (g.ne(v) | g.pa(v) | g.ch(v) | g.sp(v)) & a for v in a}
     todo = set(a)
     while todo:
-        v = todo.pop()
-        district = _reachable((v,), lambda u: g.sp(u) & a) | {v}
+        district = _district(g, (todo.pop(),), a)
         todo -= district
         married = district.union(*(g.pa(u) for u in district))
         for u in married:
@@ -238,9 +253,11 @@ def separating_set(g: AncestralGraph, i, j):
     """
     i = g._check_vertex(i)
     j = g._check_vertex(j)
-    if g.is_adjacent(i, j) or _inseparable(g, i, j):
-        return None
+    if i == j:
+        raise OverlappingSets("endpoints must be distinct")
     nbr = _augmented_graph(g, i, j)
+    if j in nbr[i]:  # adjacent in G, or joined by a collider path in G_A
+        return None
     cut = set()
     k = _cut_size(nbr, i, j, cut)
     for v in sorted(nbr.keys() - {i, j}):

@@ -81,16 +81,11 @@ def log_likelihood(sigma: np.ndarray, stats: SampleStats) -> float:
 def deviance(sigma_hat: np.ndarray, stats: SampleStats) -> float:
     """Likelihood ratio of the fitted model against the saturated model.
 
-    ``n * (trace(inv(sigma_hat) @ s) - log det(inv(sigma_hat) @ s) - p)``,
-    equal to twice the log-likelihood gap to ``sigma = s``.
+    ``2 * (l(s) - l(sigma_hat))`` with :func:`log_likelihood` ``l`` and
+    ``l(s) = -(n/2) * (log det s + p)``.
     """
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if sigma_hat.shape != (stats.p, stats.p):
-        raise DimensionMismatch("sigma_hat does not match the sample dimension")
-    logdet_hat = _logdet(sigma_hat, "sigma_hat")
-    logdet_s = _logdet(stats.s, "sample covariance")
-    trace = float(np.trace(np.linalg.solve(sigma_hat, stats.s)))
-    return stats.n * (trace - (logdet_s - logdet_hat) - stats.p)
+    saturated = -0.5 * stats.n * (_logdet(stats.s, "sample covariance") + stats.p)
+    return 2.0 * (saturated - log_likelihood(sigma_hat, stats))
 
 
 def degrees_of_freedom(g) -> int:

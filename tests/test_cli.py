@@ -405,6 +405,17 @@ class TestSimulate:
 
         assert strip_timing(a) == strip_timing(b)
 
+    @pytest.mark.parametrize("name", [".", "missing/rows.csv"])
+    def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        rc, out, err = run(
+            capsys, "simulate", "--p-min", "5", "--p-max", "5", "--out", str(path)
+        )
+        assert rc == 4
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write {path}")
+        assert "p=5" not in err  # no summary: the experiment never ran
+
     def test_bad_range_rejected(self, capsys):
         rc, _, err = run(capsys, "simulate", "--p-min", "20", "--p-max", "10")
         assert rc == 4

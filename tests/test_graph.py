@@ -50,10 +50,9 @@ class TestConstruction:
         assert AncestralGraph(2, bidirected=[(0, 1)]).edge_count == 1
 
     def test_neighbour_sets(self, mixed5):
-        r = mixed5.relations(2)
-        assert r.ne == frozenset()
-        assert r.pa == frozenset({1})
-        assert r.sp == frozenset({3})
+        assert mixed5.ne(2) == frozenset()
+        assert mixed5.pa(2) == frozenset({1})
+        assert mixed5.sp(2) == frozenset({3})
         assert mixed5.ne(0) == frozenset({1})
         assert mixed5.ch(1) == frozenset({2})
         assert mixed5.ch(2) == frozenset({4})

@@ -19,7 +19,7 @@ from agfit import (
     maximal_completion,
     separating_set,
 )
-from agfit.errors import NotMaximal, OverlappingSets
+from agfit.errors import NotMaximal, OverlappingSets, UnknownVertex
 
 
 @pytest.fixture
@@ -181,6 +181,14 @@ class TestSeparatingSet:
 
     def test_none_for_adjacent(self, mixed5):
         assert separating_set(mixed5, 2, 3) is None
+
+    def test_same_or_unknown_vertex_rejected(self, mixed5):
+        for v in range(mixed5.n):
+            with pytest.raises(OverlappingSets):
+                separating_set(mixed5, v, v)
+        for i, j in [(0, 5), (5, 0), (-1, 2), (5, 5)]:
+            with pytest.raises(UnknownVertex):
+                separating_set(mixed5, i, j)
 
     def test_none_when_inseparable(self):
         g = AncestralGraph(
@@ -349,3 +357,73 @@ class TestMaximalityAgainstExhaustiveSearch:
         assert set(h.bidirected_pairs) - set(g.bidirected_pairs) == {(0, 3)}
         with pytest.raises(NotMaximal):
             fit(g, SampleStats.from_covariance(np.eye(20), 50))
+
+
+def _inseparable_by_walk(g, i, j):
+    """The walk-based route: no set separates the non-adjacent pair exactly
+    when A = ant({i, j}) less the pair does not (Richardson and Spirtes,
+    2002, Theorem 4.2)."""
+    anterior, stack = {i, j}, [i, j]
+    while stack:
+        v = stack.pop()
+        for w in g.pa(v) | g.ne(v):
+            if w not in anterior:
+                anterior.add(w)
+                stack.append(w)
+    return not m_separated(g, {i}, {j}, anterior - {i, j})
+
+
+def _district_chain_graph(p, seed, gadgets=()):
+    """Districts of four consecutive vertices, each a bidirected path; every
+    vertex has up to two parents among the 12 vertices of the three
+    districts before its own.  A gadget at district start d adds d+1 -> d+3
+    and d+2 -> d, an inducing path between d and d+3."""
+    rng = np.random.default_rng(seed)
+    directed, bidirected = [], []
+    for v in range(p):
+        start = v - v % 4
+        if v > start:
+            bidirected.append((v - 1, v))
+        earlier = range(max(0, start - 12), start)
+        k = min(int(rng.integers(0, 3)), len(earlier))
+        directed += [(int(u), v) for u in rng.choice(earlier, size=k, replace=False)]
+    for d in gadgets:
+        directed += [(d + 1, d + 3), (d + 2, d)]
+    return AncestralGraph(p, directed=directed, bidirected=bidirected)
+
+
+class TestInseparabilityAgainstWalk:
+    def _check(self, g):
+        walk = []
+        for i, j in combinations(range(g.n), 2):
+            if g.is_adjacent(i, j):
+                continue
+            inseparable = _inseparable_by_walk(g, i, j)
+            assert (separating_set(g, i, j) is None) == inseparable
+            if inseparable:
+                walk.append((i, j))
+        added = set(maximal_completion(g).bidirected_pairs) - set(g.bidirected_pairs)
+        assert sorted(added) == walk
+        return walk
+
+    def test_random_graphs_six_to_twelve_vertices(self):
+        rng = np.random.default_rng(59)
+        for p in range(6, 13):
+            for _ in range(30):
+                self._check(oracles.random_ancestral_graph(rng, p, q=0.5))
+
+    def test_gadget_graphs_six_to_twelve_vertices(self):
+        rng = np.random.default_rng(61)
+        for p in range(6, 13):
+            for _ in range(30):
+                assert self._check(oracles.random_gadget_graph(rng, p))
+
+    def test_two_gadgets_among_two_hundred_vertices(self):
+        planted = [(40, 43), (152, 155)]
+        base = _district_chain_graph(200, seed=67)
+        g = _district_chain_graph(200, seed=67, gadgets=[i for i, _ in planted])
+        assert is_maximal(base)
+        h = maximal_completion(g)
+        assert sorted(set(h.bidirected_pairs) - set(g.bidirected_pairs)) == planted
+        assert all(_inseparable_by_walk(g, i, j) for i, j in planted)
+        assert is_maximal(h)

@@ -163,6 +163,13 @@ class TestDeviance:
             st = SampleStats.from_covariance(s, 8)
             assert deviance(sigma, st) >= -1e-10
 
+    def test_typed_errors(self):
+        st = SampleStats.from_covariance(np.eye(3), 10)
+        with pytest.raises(DimensionMismatch):
+            deviance(np.eye(2), st)
+        with pytest.raises(NotPositiveDefinite):
+            deviance(np.diag([1.0, -1.0, 1.0]), st)
+
 
 class TestDegreesOfFreedom:
     def test_counts_missing_edges(self):
