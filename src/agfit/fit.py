@@ -18,10 +18,26 @@ combinations of the variables, so raw data are never required.
 The pseudo-variables of a vertex need inv(omega[-i, -i]).  ICF keeps
 inv(omega) current instead of factorizing that block at every step: the
 spouse rows are read off the maintained inverse and the vertex's new row
-of omega is folded back by a rank-2 update.  A vertex step with q parents
-and spouses therefore costs O(q p^2), and a cycle over a graph of bounded
-degree O(p^3) rather than O(p^4).  The inverse is formed afresh from
-omega at the start of every cycle, which bounds rounding drift.
+of omega enters it as one rank-2 update.  The updates are held back
+within a cycle: the inverse is kept as ``k0 + U diag(d) U.T``, a step
+reads only its own and its spouses' rows, and every ``_FOLD_STEPS``
+steps the pending columns of U are folded into ``k0`` by one matrix
+product, which runs several times faster than one outer-product pass
+over the matrix per step.  A vertex step with q parents and spouses
+costs O(q p^2), and a cycle over a graph of bounded degree O(p^3) rather
+than O(p^4).  The inverse is formed afresh from omega at the start of
+every cycle, which bounds rounding drift.
+
+A vertex without spouses is a plain regression on its parents: its step
+reads no other parameter, and no other step reads its rows of beta and
+omega or its entry of the inverse.  It is visited in the first cycle
+only.  Only the rows T of beta of the vertices with parents are nonzero,
+so the residual transform, the implied covariance and the log-likelihood
+are formed on the rows and columns T.  Because det(I - beta) = 1, the
+log-likelihood of a cycle is -n/2 [log det psi + tr(inv(psi) R)] with
+R = (I - beta) s (I - beta).T, read off the blocks: the undirected term
+is fixed per fit, and log det omega comes from the Cholesky factor that
+checks omega when the next cycle's inverse is formed.
 """
 
 from __future__ import annotations
@@ -68,7 +84,7 @@ class FitConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be at least 1")
@@ -143,10 +159,10 @@ def fit_undirected_ipf(
 
     k = np.diag(1.0 / np.diag(s_un))
     all_idx = np.arange(p)
+    rests = [np.setdiff1d(all_idx, cl) for cl in cliques]
+    s_invs = [_spd_inverse(s_un[np.ix_(cl, cl)], "s_un") for cl in cliques]
     for _ in range(max_cycles):
-        for cl in cliques:
-            rest = np.setdiff1d(all_idx, cl, assume_unique=False)
-            update = _spd_inverse(s_un[np.ix_(cl, cl)], "s_un")
+        for cl, rest, update in zip(cliques, rests, s_invs):
             if rest.size:
                 krc = k[np.ix_(rest, cl)]
                 update = update + krc.T @ _spd_inverse(k[np.ix_(rest, rest)], "lam") @ krc
@@ -185,59 +201,111 @@ def _maximal_cliques(g: AncestralGraph) -> list:
 
 # -- single ICF update --------------------------------------------------------
 
+# Vertex steps whose rank-2 updates of inv(omega) are held back before one
+# matrix product folds them in.
+_FOLD_STEPS = 16
+
+
+class _HeldInverse:
+    """inv(omega) within one ICF cycle, held as ``k0 + U diag(d) U.T``.
+
+    ``update`` appends the two columns of a step's rank-2 update to U;
+    every ``_FOLD_STEPS`` updates, U is folded into ``k0`` by one product
+    of rank ``2 * _FOLD_STEPS`` and emptied.
+    """
+
+    def __init__(self, k0: np.ndarray):
+        self.k0 = k0
+        self.u = np.empty((k0.shape[0], 2 * _FOLD_STEPS))
+        self.d = np.empty(2 * _FOLD_STEPS)
+        self.m = 0
+
+    def rows(self, idx) -> np.ndarray:
+        """Rows ``idx`` of the current inverse."""
+        m = self.m
+        return self.k0[idx] + (self.u[idx, :m] * self.d[:m]) @ self.u[:, :m].T
+
+    def update(self, k: np.ndarray, k_ii: float, z: np.ndarray, w: float) -> None:
+        """``K <- K - k k.T / k_ii + z z.T / w``."""
+        m = self.m
+        self.u[:, m] = k
+        self.u[:, m + 1] = z
+        self.d[m : m + 2] = (-1.0 / k_ii, 1.0 / w)
+        self.m = m + 2
+        if self.m == self.u.shape[1]:
+            self.k0 += (self.u * self.d) @ self.u.T
+            self.m = 0
+
+
+def _rows_with_parents(g: AncestralGraph) -> np.ndarray:
+    """The vertices with parents: the rows of beta that can be nonzero."""
+    return np.array(sorted({head for _, head in g.directed_pairs}), dtype=int)
+
 
 class _VertexPlan:
-    """Precomputed index bookkeeping for the ICF update of one vertex."""
+    """Precomputed index bookkeeping for the ICF update of one vertex.
 
-    def __init__(self, g: AncestralGraph, i: int, disp_map: IndexMap):
+    ``disp`` holds the arrowhead-block vertices as an index array, shared
+    by the plans of one fit.
+    """
+
+    def __init__(self, g: AncestralGraph, i: int, disp_map: IndexMap, disp: np.ndarray):
         self.i = i
         self.i_pos = disp_map.position(i)
         self.pa = sorted(g.pa(i))
         self.sp = sorted(g.sp(i))
         self.sp_pos = disp_map.positions(self.sp)
-        self.disp = np.asarray(disp_map.vertices, dtype=int)
-        self.q = len(self.pa) + len(self.sp)
+        self.k_rows = [self.i_pos] + self.sp_pos
+        self.disp = disp
 
 
 def _icf_step(
     s: np.ndarray,
     beta: np.ndarray,
     omega: np.ndarray,
-    k_inv: np.ndarray,
+    k_inv: _HeldInverse,
     plan: _VertexPlan,
+    t: np.ndarray,
 ) -> None:
-    """One conditional maximization, updating ``beta``, ``omega`` and
-    ``k_inv = inv(omega)`` in place.
+    """One conditional maximization, updating ``beta``, ``omega`` and the
+    held inverse ``k_inv`` of ``omega`` in place.
 
     Works from the sample covariance: the regression of the vertex on its
     parents and pseudo-variables reduces to normal equations in ``C s C.T``
     where the rows of C are the coefficient vectors of the covariates as
-    linear combinations of the observed variables.  The spouse rows of
-    ``inv(omega[-i, -i])`` are read off ``k_inv`` and the new row of
-    ``omega`` is folded back into it by a rank-2 update, so the step costs
-    O(q p^2) instead of a fresh factorization of ``omega[-i, -i]``.
+    linear combinations of the observed variables.  A pseudo-variable
+    applies a row of ``inv(omega[-i, -i])`` to the residuals
+    ``(I - beta) y``; only the rows ``t`` of ``beta``, the vertices with
+    parents, are nonzero, so the residual transform reads those alone.
+
+    The step reads the rows of its vertex and of the spouses off
+    ``k_inv``; the spouse rows less their projection on the vertex are
+    the rows of ``inv(omega[-i, -i])``, zero in the column of i.  The new
+    row of omega enters the inverse as the one rank-2 term
+    ``K - k k.T / k_ii + z z.T / w``: k is the old column of i, w the
+    residual variance and ``z = u - e_i`` with u the new off-diagonal
+    row of omega mapped through ``inv(omega[-i, -i])``.  It needs no
+    overwrite of row i because u is zero there.  The step costs O(q p^2)
+    instead of a fresh factorization of ``omega[-i, -i]``.
+
+    A vertex without spouses is regressed on its parents alone and leaves
+    ``k_inv`` as it is: no other step reads its entry of the inverse.
     """
     i, ip = plan.i, plan.i_pos
-    n = s.shape[0]
-    if plan.q == 0:
-        omega[ip, ip] = s[i, i]
-        k_inv[ip, ip] = 1.0 / s[i, i]
-        return
-
-    c_rows = np.zeros((plan.q, n))
-    for r, j in enumerate(plan.pa):
-        c_rows[r, j] = 1.0
-    if plan.sp:
-        k_ii = k_inv[ip, ip]
+    pa, sp = plan.pa, plan.sp
+    c_rows = np.zeros((len(pa) + len(sp), s.shape[0]))
+    c_rows[range(len(pa)), pa] = 1.0
+    if sp:
+        k_rows = k_inv.rows(plan.k_rows)
+        k_col = k_rows[0]
+        k_ii = k_col[ip]
         if k_ii <= 0:
             raise NotPositiveDefinite("omega lost positive definiteness")
-        k_col = k_inv[:, ip].copy()
-        # spouse rows of inv(omega[-i, -i]), zero in the column of i
-        a_sp = k_inv[plan.sp_pos, :] - np.outer(k_col[plan.sp_pos] / k_ii, k_col)
+        a_sp = k_rows[1:] - np.outer(k_col[plan.sp_pos] / k_ii, k_col)
         a_sp[:, ip] = 0.0
-        a = np.zeros((len(plan.sp), n))
+        a = np.zeros((len(sp), s.shape[0]))
         a[:, plan.disp] = a_sp
-        c_rows[len(plan.pa):, :] = a - a @ beta
+        c_rows[len(pa):] = a - a[:, t] @ beta[t]
 
     gram = c_rows @ s @ c_rows.T
     gram = 0.5 * (gram + gram.T)
@@ -251,26 +319,17 @@ def _icf_step(
             f"residual variance for vertex {i} collapsed to {w_cond}"
         )
 
-    beta[i, :] = 0.0
-    if plan.pa:
-        beta[i, plan.pa] = coef[: len(plan.pa)]
-    u = np.zeros(omega.shape[0])
-    quad = 0.0
-    omega[ip, :] = 0.0
-    omega[:, ip] = 0.0
-    if plan.sp:
-        w_sp = coef[len(plan.pa):]
-        u = a_sp.T @ w_sp
-        quad = float(w_sp @ u[plan.sp_pos])
-        omega[ip, plan.sp_pos] = w_sp
-        omega[plan.sp_pos, ip] = w_sp
-        v = np.column_stack((k_col, u))
-        k_inv -= (v * (1.0 / k_ii, -1.0 / w_cond)) @ v.T
-    omega[ip, ip] = w_cond + quad
-    k_row = -u / w_cond
-    k_inv[ip, :] = k_row
-    k_inv[:, ip] = k_row
-    k_inv[ip, ip] = 1.0 / w_cond
+    beta[i, pa] = coef[: len(pa)]
+    if not sp:
+        omega[ip, ip] = w_cond
+        return
+    w_sp = coef[len(pa):]
+    u = a_sp.T @ w_sp
+    omega[ip, plan.sp_pos] = w_sp
+    omega[plan.sp_pos, ip] = w_sp
+    omega[ip, ip] = w_cond + float(w_sp @ u[plan.sp_pos])
+    u[ip] = -1.0
+    k_inv.update(k_col, k_ii, u, w_cond)
 
 
 def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
@@ -292,10 +351,10 @@ def icf_step(g: AncestralGraph, i, params: ParamSet, y: np.ndarray) -> ParamSet:
         raise DimensionMismatch("y must have one row per vertex")
     beta = params.beta.copy()
     omega = params.omega.copy()
-    k_inv = _spd_inverse(omega, "omega")
-    _icf_step(
-        y @ y.T / y.shape[1], beta, omega, k_inv, _VertexPlan(g, i, params.disp_map)
-    )
+    k_inv = _HeldInverse(_spd_inverse(omega, "omega"))
+    disp = np.array(params.disp_map.vertices, dtype=int)
+    plan = _VertexPlan(g, i, params.disp_map, disp)
+    _icf_step(y @ y.T / y.shape[1], beta, omega, k_inv, plan, _rows_with_parents(g))
     return ParamSet(g, params.lam, beta, omega, params.un_map, params.disp_map)
 
 
@@ -313,27 +372,58 @@ class _Blocks:
     """Undirected/arrowhead split of a fit with its fixed undirected part.
 
     Shared by the iterative and the closed-form fit: fits ``lam`` by IPF
-    on the undirected block, and assembles the implied covariance and the
-    final result from the arrowhead parameters.
+    on the undirected block, and assembles the implied covariance, the
+    log-likelihood and the final result from the arrowhead parameters.
+    ``t`` holds the vertices with parents, all in the arrowhead block.
     """
 
     def __init__(self, g: AncestralGraph, s: np.ndarray, config: FitConfig):
+        self.s = s
         self.un = sorted(g.un_vertices)
         self.disp = sorted(set(range(g.n)) - g.un_vertices)
         self.un_map = IndexMap(tuple(self.un))
         self.disp_map = IndexMap(tuple(self.disp))
+        self.t = _rows_with_parents(g)
+        self.t_pos = self.disp_map.positions(self.t)
+        self.s_disp = s[np.ix_(self.disp, self.disp)]
         if self.un:
+            s_un = s[np.ix_(self.un, self.un)]
             self.lam = fit_undirected_ipf(
-                g.subgraph(self.un), s[np.ix_(self.un, self.un)],
+                g.subgraph(self.un), s_un,
                 tolerance=config.tolerance, max_cycles=config.max_cycles,
             )
-            self.psi_un = _spd_inverse(self.lam, "lam")
+            self.psi_un, logdet_lam = _spd_inverse(self.lam, "lam", logdet=True)
+            # log det psi_un + tr(lam s_un): the undirected block's share of
+            # -2/n times the log-likelihood, fixed once lam is
+            self.un_term = float(np.sum(self.lam * s_un)) - logdet_lam
         else:
             self.lam = self.psi_un = np.zeros((0, 0))
+            self.un_term = 0.0
 
     def sigma(self, beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
         psi_m = _block_psi(beta.shape[0], self.un, self.disp, self.psi_un, omega)
         return _implied_sigma(beta, psi_m)
+
+    def loglik(self, n: int, beta: np.ndarray, k: np.ndarray, logdet_omega: float) -> float:
+        """Log-likelihood of the implied covariance, given ``k = inv(omega)``
+        and log det omega.
+
+        Since det(I - beta) = 1 it is -n/2 [log det psi + tr(inv(psi) R)]
+        with R = (I - beta) s (I - beta).T, and psi is block diagonal.  On
+        the arrowhead block R differs from s only in the rows and columns
+        ``t``, so the cost is O(|t| p^2) plus O(p^2).
+        """
+        t, r = self.t, self.s_disp
+        if t.size:
+            rows = -beta[t]
+            rows[range(t.size), t] = 1.0
+            y = rows @ self.s
+            y_disp = y[:, self.disp]
+            r = r.copy()
+            r[self.t_pos] = y_disp
+            r[:, self.t_pos] = y_disp.T
+            r[np.ix_(self.t_pos, self.t_pos)] = y @ rows.T
+        return -0.5 * n * (self.un_term + logdet_omega + float(np.sum(k * r)))
 
     def result(self, g, stats, beta, omega, sigma, iterations, converged, logliks):
         return FitResult(
@@ -356,7 +446,12 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     more in correlation units over one full cycle: the change of entry
     (i, j) is divided by sqrt(s_ii s_jj), so rescaling the variables does
     not change when the fit stops.  When the cycle budget runs out the
-    best parameters so far are returned with ``converged=False``.
+    best parameters so far are returned with ``converged=False``.  The
+    stop rule needs the implied covariance after every cycle; it is
+    assembled on the rows and columns of the vertices with parents, at
+    O(|T| p^2) for |T| such vertices.  The per-cycle log-likelihood in
+    ``logliks`` is read off the parameter blocks, not off a factorization
+    of the implied covariance.
 
     The graph must be maximal for the fit to target the intended
     independence model; unless ``config.check_maximality`` is False a
@@ -373,7 +468,8 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     s = stats.s
     blocks = _Blocks(g, s, config)
     disp = blocks.disp
-    plans = [_VertexPlan(g, i, blocks.disp_map) for i in disp]
+    disp_idx = np.array(disp, dtype=int)
+    plans = [_VertexPlan(g, i, blocks.disp_map, disp_idx) for i in disp]
     scale = _correlation_scale(s)
     rng = np.random.default_rng(config.seed)
 
@@ -406,20 +502,27 @@ def _correlation_scale(s: np.ndarray) -> np.ndarray:
 
 
 def _run_icf(g, stats, blocks, beta, omega, plans, scale, config) -> FitResult:
-    s = stats.s
+    s, n = stats.s, stats.n
+    # a vertex without spouses is a regression on its parents alone: the
+    # first cycle settles it, and no later step reads what it wrote
+    with_spouses = [plan for plan in plans if plan.sp]
+    k0, logdet = _spd_inverse(omega, "omega", logdet=True)
     sigma = blocks.sigma(beta, omega)
-    logliks = [log_likelihood(sigma, stats)]
+    logliks = [blocks.loglik(n, beta, k0, logdet)]
     iterations = 0
     converged = not plans
+    visit = plans
     for cycle in range(1, config.max_cycles + 1):
         if not plans:
             break
-        # formed afresh every cycle to bound the drift of the rank-2 updates
-        k_inv = _spd_inverse(omega, "omega")
-        for plan in plans:
-            _icf_step(s, beta, omega, k_inv, plan)
+        k_inv = _HeldInverse(k0)
+        for plan in visit:
+            _icf_step(s, beta, omega, k_inv, plan, blocks.t)
+        visit = with_spouses
         new_sigma = blocks.sigma(beta, omega)
-        logliks.append(log_likelihood(new_sigma, stats))
+        # formed afresh every cycle to bound the drift of the rank-2 updates
+        k0, logdet = _spd_inverse(omega, "omega", logdet=True)
+        logliks.append(blocks.loglik(n, beta, k0, logdet))
         delta = float(np.max(np.abs(new_sigma - sigma) * scale))
         sigma = new_sigma
         iterations = cycle

@@ -174,20 +174,41 @@ def _block_psi(n, un, disp, psi_un, omega) -> np.ndarray:
     return out
 
 
-def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    _cholesky(m, f"{what} is not positive definite")
+def _spd_inverse(m: np.ndarray, what: str, *, logdet: bool = False):
+    """Symmetrized inverse of ``m``, or ``NotPositiveDefinite`` naming ``what``.
+
+    With ``logdet`` returns the pair (inverse, log det m), the
+    log-determinant read off the Cholesky factor that checks ``m``.
+    """
+    c = _cholesky(m, f"{what} is not positive definite")
     inv = np.linalg.inv(m)
-    return 0.5 * (inv + inv.T)
+    inv = 0.5 * (inv + inv.T)
+    if logdet:
+        return inv, 2.0 * float(np.sum(np.log(np.diagonal(c))))
+    return inv
 
 
 def _implied_sigma(beta: np.ndarray, psi_m: np.ndarray) -> np.ndarray:
     """``inv(I - beta) @ psi_m @ inv(I - beta).T``, symmetrized.
 
-    Raises ``numpy.linalg.LinAlgError`` when ``I - beta`` is singular.
+    Only the rows t of ``beta`` with a nonzero entry (the vertices with
+    parents) take part.  A = inv(I - beta) equals I outside the rows t,
+    and its rows t solve (I - beta)_tt A_t = J, where J is the rows t of
+    ``beta`` with the columns t replaced by I.  So sigma differs from
+    ``psi_m`` only in the rows and columns t, the cost is O(|t| p^2), and
+    sigma = psi_m when t is empty.  Raises ``numpy.linalg.LinAlgError``
+    when ``I - beta`` is singular; det(I - beta) = det((I - beta)_tt).
     """
-    a = np.eye(beta.shape[0]) - beta
-    x = np.linalg.solve(a, psi_m)
-    sigma = np.linalg.solve(a, x.T).T
+    t = np.flatnonzero(beta.any(axis=1))
+    sigma = psi_m.copy()
+    if t.size:
+        j = beta[t]
+        j[:, t] = np.eye(t.size)
+        a_t = np.linalg.solve(np.eye(t.size) - beta[np.ix_(t, t)], j)
+        x = a_t @ psi_m
+        sigma[t] = x
+        sigma[:, t] = x.T
+        sigma[np.ix_(t, t)] = x @ a_t.T
     return 0.5 * (sigma + sigma.T)
 
 

@@ -294,6 +294,32 @@ def random_params(g: AncestralGraph, rng, strength: float = 0.7) -> ParamSet:
     return ParamSet.for_graph(g, lam, beta, omega)
 
 
+def random_three_kind_graphs(rng, count: int, p_lo: int = 6, p_hi: int = 11) -> list:
+    """``count`` random ancestral graphs that each have undirected,
+    directed and bidirected edges."""
+    found = []
+    while len(found) < count:
+        g = random_ancestral_graph(rng, int(rng.integers(p_lo, p_hi)), q=0.5)
+        if g.undirected_pairs and g.directed_pairs and g.bidirected_pairs:
+            found.append(g)
+    return found
+
+
+def dense_sigma(params: ParamSet) -> np.ndarray:
+    """``inv(I - beta) @ blockdiag(inv(lam), omega) @ inv(I - beta).T`` with
+    dense numpy inverses over all vertices."""
+    n = params.graph.n
+    un = list(params.un_map.vertices)
+    disp = list(params.disp_map.vertices)
+    block = np.zeros((n, n))
+    if un:
+        block[np.ix_(un, un)] = np.linalg.inv(params.lam)
+    if disp:
+        block[np.ix_(disp, disp)] = params.omega
+    inv = np.linalg.inv(np.eye(n) - params.beta)
+    return inv @ block @ inv.T
+
+
 def random_spd(rng, p: int) -> np.ndarray:
     a = rng.standard_normal((p, p + 3))
     return a @ a.T / (p + 3) + 0.25 * np.eye(p)

@@ -1,6 +1,7 @@
 """Public names, what importing the package loads, and the README's account."""
 
 import dataclasses
+import importlib.util
 import re
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import agfit
 from agfit import FitConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -42,3 +44,16 @@ def test_import_loads_no_scipy(agfit_env):
         text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these names in place; an import dropped
+    # from agfit as unused would break the traced run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        (mod, attr) for mod, attr, _ in spans.TRACED
+        if not hasattr(importlib.import_module(mod), attr)
+    ]
+    assert missing == []

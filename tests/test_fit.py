@@ -26,8 +26,10 @@ from agfit import (
     moth_stats,
     sample_mvn,
 )
+from agfit.datasets import moth_graph_extended
 from agfit.errors import NotMaximal, NotPositiveDefinite
-from agfit.fit import _maximal_cliques
+from agfit.fit import _FOLD_STEPS, _HeldInverse, _VertexPlan, _icf_step, _maximal_cliques
+from agfit.params import IndexMap
 
 
 def _stats(s, n=40):
@@ -173,6 +175,25 @@ class TestIcfStep:
         assert isinstance(info.value, NotPositiveDefinite)
 
 
+class TestHeldInverse:
+    def test_one_cycle_matches_fresh_inverse(self):
+        # 70 spouse steps: four folds of 16 held-back updates, then 6 pending
+        p = 70
+        g = bidirected_cycle_graph(p)
+        s = empirical_covariance(sample_mvn(cycle_covariance(p, 0.3), p + 30, seed=5)).s
+        beta = np.zeros((p, p))
+        omega = np.diag(np.diag(s))
+        held = _HeldInverse(np.linalg.inv(omega))
+        disp_map = IndexMap(tuple(range(p)))
+        no_parents = np.zeros(0, dtype=int)
+        for i in range(p):
+            _icf_step(s, beta, omega, held, _VertexPlan(g, i, disp_map, np.arange(p)), no_parents)
+        assert held.m == 2 * (p % _FOLD_STEPS)
+        want = np.linalg.inv(omega)
+        got = held.rows(np.arange(p))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 class TestFitAgainstReferenceIcf:
     """``fit`` keeps inv(omega) current across vertex steps; a plain ICF
     that inverts omega[-i, -i] at every step must follow the same
@@ -197,6 +218,33 @@ class TestFitAgainstReferenceIcf:
         assert sum(1 for v in range(40) if g.pa(v)) >= 10
         assert sum(1 for v in range(40) if g.sp(v)) >= 10
         self._check(g, _stats(oracles.random_spd(rng, 40), n=200))
+
+
+class TestFitSigmaAndLikelihood:
+    """The per-cycle Σ and log-likelihood are formed on the rows with
+    parents; the final ones must match routes that use all of I − B."""
+
+    def test_sigma_matches_dense_route(self):
+        rng = np.random.default_rng(241)
+        graphs = oracles.random_three_kind_graphs(rng, 12)
+        graphs.append(AncestralGraph(6, undirected=[(0, 1)], bidirected=[(2, 3), (3, 4), (4, 5)]))
+        for g in graphs:
+            st = _stats(oracles.random_spd(rng, g.n), n=60)
+            res = fit(g, st, FitConfig(check_maximality=False))
+            want = oracles.dense_sigma(res.params)
+            assert np.max(np.abs(res.sigma_hat - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "graph", [moth_graph, moth_graph_extended, lambda: AncestralGraph(
+            5, undirected=[(0, 1), (1, 2)], directed=[(2, 3), (0, 4)], bidirected=[(3, 4)]
+        )], ids=["moth", "extended", "undirected-block"],
+    )
+    def test_last_loglik_matches_log_likelihood(self, graph):
+        g = graph()
+        st = moth_stats()
+        res = fit(g, st)
+        assert g.un_vertices
+        assert res.logliks[-1] == pytest.approx(log_likelihood(res.sigma_hat, st), rel=1e-12, abs=0)
 
 
 class TestFitMoth:
@@ -438,6 +486,9 @@ class TestFitInvariants:
             FitConfig(max_cycles=0)
         with pytest.raises(ValueError):
             FitConfig(restarts=-1)
+        # nan <= 0 is false; a nan tolerance would never stop a fit
+        with pytest.raises(ValueError):
+            FitConfig(tolerance=float("nan"))
 
     def test_tolerance_controls_cycle_count(self):
         g = moth_graph()

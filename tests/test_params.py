@@ -1,5 +1,7 @@
 """Parameter containers and the covariance parameterization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from agfit import (
     m_separated,
     psi,
 )
-from agfit.errors import DimensionMismatch, NotPositiveDefinite
+from agfit.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 from agfit.params import IndexMap
 
 
@@ -119,16 +121,35 @@ class TestBuildSigma:
         for _ in range(30):
             g = oracles.random_ancestral_graph(rng, 6)
             pm = oracles.random_params(g, rng)
-            un = sorted(g.un_vertices)
-            disp = sorted(set(range(6)) - g.un_vertices)
-            block = np.zeros((6, 6))
-            if un:
-                block[np.ix_(un, un)] = np.linalg.inv(pm.lam)
-            if disp:
-                block[np.ix_(disp, disp)] = pm.omega
-            inv = np.linalg.inv(np.eye(6) - pm.beta)
-            want = inv @ block @ inv.T
-            np.testing.assert_allclose(build_sigma(pm), want, atol=1e-10)
+            np.testing.assert_allclose(build_sigma(pm), oracles.dense_sigma(pm), atol=1e-10)
+
+    def test_all_edge_kinds_match_dense_route(self):
+        # sigma is assembled on the rows and columns of the vertices with
+        # parents only; the dense route inverts all of I - beta
+        rng = np.random.default_rng(47)
+        for g in oracles.random_three_kind_graphs(rng, 25):
+            pm = oracles.random_params(g, rng)
+            want = oracles.dense_sigma(pm)
+            got = build_sigma(pm)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_parentless_graph_gives_psi(self):
+        g = AncestralGraph(
+            5, undirected=[(0, 1)], bidirected=[(2, 3), (3, 4), (2, 4)]
+        )
+        pm = oracles.random_params(g, np.random.default_rng(53))
+        np.testing.assert_array_equal(build_sigma(pm), psi(pm))
+        np.testing.assert_allclose(build_sigma(pm), oracles.dense_sigma(pm), rtol=1e-12)
+
+    def test_singular_i_minus_beta_is_typed(self):
+        # a directed cycle cannot come from a graph, so the parameters are
+        # built around the validation
+        g = AncestralGraph(3, directed=[(0, 1)])
+        beta = np.zeros((3, 3))
+        beta[1, 0] = beta[0, 1] = 1.0
+        pm = dataclasses.replace(ParamSet.for_graph(g), beta=beta)
+        with pytest.raises(SingularMatrix):
+            build_sigma(pm)
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(43)
