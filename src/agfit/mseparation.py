@@ -68,16 +68,22 @@ class IndependenceStatement:
     holds: bool
 
 
-def _steps(g: AncestralGraph, v: int):
-    """Yield (w, mark_at_v, mark_at_w) for every edge incident to ``v``."""
-    for w in g.ne(v):
-        yield w, TAIL, TAIL
-    for w in g.ch(v):
-        yield w, TAIL, ARROW
-    for w in g.pa(v):
-        yield w, ARROW, TAIL
-    for w in g.sp(v):
-        yield w, ARROW, ARROW
+def _step_table(g: AncestralGraph) -> tuple:
+    """Per vertex v, a tuple of (w, mark_at_v, mark_at_w), one for every
+    edge incident to v.  Built on the first query and kept on the graph,
+    which is immutable."""
+    table = getattr(g, "_step_table", None)
+    if table is not None:
+        return table
+    table = tuple(
+        tuple((w, TAIL, TAIL) for w in g.ne(v))
+        + tuple((w, TAIL, ARROW) for w in g.ch(v))
+        + tuple((w, ARROW, TAIL) for w in g.pa(v))
+        + tuple((w, ARROW, ARROW) for w in g.sp(v))
+        for v in range(g.n)
+    )
+    g._step_table = table
+    return table
 
 
 def m_connecting_path_exists(g: AncestralGraph, i, j, c=frozenset()) -> bool:
@@ -93,10 +99,11 @@ def m_connecting_path_exists(g: AncestralGraph, i, j, c=frozenset()) -> bool:
     if i == j or i in c or j in c:
         raise OverlappingSets("endpoints must be distinct and outside C")
 
+    steps = _step_table(g)
     anc_c = g.ancestors(c) if c else frozenset()
     seen = set()
     stack = []
-    for w, _, mark_w in _steps(g, i):
+    for w, _, mark_w in steps[i]:
         state = (w, mark_w)
         if state not in seen:
             seen.add(state)
@@ -105,7 +112,7 @@ def m_connecting_path_exists(g: AncestralGraph, i, j, c=frozenset()) -> bool:
         v, mark_in = stack.pop()
         if v == j:
             return True
-        for w, mark_v, mark_w in _steps(g, v):
+        for w, mark_v, mark_w in steps[v]:
             if mark_in == ARROW and mark_v == ARROW:
                 if v not in anc_c:
                     continue

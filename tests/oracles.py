@@ -434,7 +434,8 @@ def icf_reference(g: AncestralGraph, s: np.ndarray, lam: np.ndarray, tolerance=1
 
     Starts from ``beta = 0`` and the diagonal of ``s`` on the arrowhead
     block, visits those vertices in ascending order and stops once a cycle
-    moves no entry of the implied covariance by ``tolerance`` or more, as
+    moves no entry (i, j) of the implied covariance by ``tolerance`` or
+    more in correlation units, |change| / sqrt(s_ii s_jj), as
     ``agfit.fit`` does; ``lam`` is the fixed undirected-block concentration.
     Returns the implied covariance at the start and after each cycle.
     """
@@ -444,6 +445,8 @@ def icf_reference(g: AncestralGraph, s: np.ndarray, lam: np.ndarray, tolerance=1
     pos = {v: k for k, v in enumerate(disp)}
     beta = np.zeros((n, n))
     omega = np.diag(s[disp, disp]).astype(float)
+    d = np.sqrt(np.diag(s))
+    scale = 1.0 / np.outer(d, d)
 
     def implied():
         psi = np.zeros((n, n))
@@ -485,6 +488,6 @@ def icf_reference(g: AncestralGraph, s: np.ndarray, lam: np.ndarray, tolerance=1
             quad = w_sp @ inv_rest[np.ix_(sp_rows, sp_rows)] @ w_sp if sp else 0.0
             omega[pos[i], pos[i]] = w_cond + quad
         sigmas.append(implied())
-        if np.max(np.abs(sigmas[-1] - sigmas[-2])) < tolerance:
+        if np.max(np.abs(sigmas[-1] - sigmas[-2]) * scale) < tolerance:
             break
     return sigmas

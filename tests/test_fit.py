@@ -1,6 +1,7 @@
 """Likelihood maximization: IPF, single conditional steps, and full fits."""
 
 import dataclasses
+import importlib
 
 import networkx as nx
 import numpy as np
@@ -193,24 +194,72 @@ class TestHeldInverse:
         got = held.rows(np.arange(p))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
+    @staticmethod
+    def _mixed_case():
+        # an undirected pair, a bidirected 20-cycle with parents in it and
+        # spouse-less vertices with parents; omega near singular, so ICF is slow
+        dire = [(0, 2), (1, 9), (0, 15), (5, 22), (12, 23), (22, 24), (18, 25), (1, 26), (26, 27)]
+        g = AncestralGraph(
+            28, undirected=[(0, 1)], directed=dire,
+            bidirected=[(v, v + 1) for v in range(2, 21)] + [(2, 21)],
+        )
+        omega = np.eye(26)
+        omega[:20, :20] = cycle_covariance(20, 0.49)
+        beta = np.zeros((28, 28))
+        for tail, head in dire:
+            beta[head, tail] = 0.6
+        lam = np.array([[1.0, 0.3], [0.3, 1.0]])
+        sigma = build_sigma(ParamSet.for_graph(g, lam=lam, beta=beta, omega=omega))
+        return g, empirical_covariance(sample_mvn(sigma, 60, seed=2))
+
+    @pytest.mark.parametrize("case", ["cycle-100", "mixed"])
+    def test_carried_inverse_matches_inverse_of_fit(self, case, monkeypatch):
+        # one inverse of omega is carried across ~300 cycles; a tolerance at
+        # the rounding floor keeps the fit from stopping
+        if case == "cycle-100":
+            g = bidirected_cycle_graph(100)
+            st = empirical_covariance(sample_mvn(cycle_covariance(100, 0.49), 130, seed=7))
+        else:
+            g, st = self._mixed_case()
+        held = []
+
+        class Recorded(_HeldInverse):
+            def __init__(self, k0):
+                super().__init__(k0)
+                held.append(self)
+
+        monkeypatch.setattr(importlib.import_module("agfit.fit"), "_HeldInverse", Recorded)
+        res = fit(g, st, FitConfig(tolerance=1e-15, max_cycles=300))
+        assert res.iterations >= 200
+        (k,) = held
+        assert k.m == 0
+        want = np.linalg.inv(res.omega_hat)
+        assert np.max(np.abs(k.k0 - want)) <= 1e-10 * np.max(np.abs(want))
+
 
 class TestFitAgainstReferenceIcf:
     """``fit`` keeps inv(omega) current across vertex steps; a plain ICF
     that inverts omega[-i, -i] at every step must follow the same
     likelihood path to the same estimate in the same number of cycles."""
 
-    def _check(self, g, stats):
+    def _check(self, g, stats, scale=1.0):
         res = fit(g, stats, FitConfig(check_maximality=False))
         sigmas = oracles.icf_reference(g, stats.s, res.params.lam)
         assert res.converged
         assert res.iterations == len(sigmas) - 1
-        np.testing.assert_allclose(res.sigma_hat, sigmas[-1], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.sigma_hat, sigmas[-1], rtol=0, atol=1e-10 * scale)
         lls = [log_likelihood(sigma, stats) for sigma in sigmas]
         np.testing.assert_allclose(res.logliks, lls, rtol=1e-12, atol=0)
 
     def test_bidirected_cycle_60(self):
         g = bidirected_cycle_graph(60)
         self._check(g, empirical_covariance(sample_mvn(cycle_covariance(60, 0.3), 90, seed=3)))
+
+    @pytest.mark.parametrize("k", [1e-4, 1e4])
+    def test_scaled_bidirected_cycle_20(self, k):
+        # both stop in correlation units, so the scale changes no cycle count
+        s = empirical_covariance(sample_mvn(cycle_covariance(20, 0.3), 60, seed=3)).s
+        self._check(bidirected_cycle_graph(20), SampleStats.from_covariance(k * s, 60), k)
 
     def test_random_mixed_graph_40(self):
         rng = np.random.default_rng(1)
@@ -237,13 +286,18 @@ class TestFitSigmaAndLikelihood:
     @pytest.mark.parametrize(
         "graph", [moth_graph, moth_graph_extended, lambda: AncestralGraph(
             5, undirected=[(0, 1), (1, 2)], directed=[(2, 3), (0, 4)], bidirected=[(3, 4)]
-        )], ids=["moth", "extended", "undirected-block"],
+        ), lambda: AncestralGraph(
+            5, directed=[(0, 1), (0, 2)], bidirected=[(2, 3), (3, 4)]
+        )], ids=["moth", "extended", "undirected-block", "spouse-less-beside-district"],
     )
     def test_last_loglik_matches_log_likelihood(self, graph):
         g = graph()
         st = moth_stats()
         res = fit(g, st)
         assert g.un_vertices
+        # the inverse of omega is carried across cycles, so a vertex without
+        # spouses must keep its entry current after the first cycle
+        assert res.iterations > 2
         assert res.logliks[-1] == pytest.approx(log_likelihood(res.sigma_hat, st), rel=1e-12, abs=0)
 
 
