@@ -101,10 +101,6 @@ class DimensionMismatch(NumericError):
     """Array shapes are inconsistent with the graph or with each other."""
 
 
-class MaxIterationsExceeded(NumericError):
-    """An iterative procedure did not converge within its cycle budget."""
-
-
 class InvalidDf(AgfitError):
     """A chi-square test was requested with non-positive degrees of freedom."""
 

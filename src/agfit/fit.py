@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    MaxIterationsExceeded,
     NotMaximal,
     NotPositiveDefinite,
     SingularDesign,
@@ -144,8 +143,9 @@ def fit_undirected_ipf(
     when every clique block of the implied covariance is within
     ``tolerance`` of the sample block in correlation units, each entry
     (i, j) divided by sqrt(s_ii s_jj), so the cycle count does not depend
-    on the scale of the variables.  The result is exactly zero at missing
-    edges.
+    on the scale of the variables.  At ``max_cycles`` the last iterate is
+    returned, and :func:`fit` reports ``converged=False``, as at the cap of
+    ICF.  The result is exactly zero at missing edges.
     """
     if g_un.directed_pairs or g_un.bidirected_pairs:
         raise ValueError("IPF expects a purely undirected graph")
@@ -158,7 +158,7 @@ def fit_undirected_ipf(
     _cholesky(s_un, "s_un is not positive definite")
 
     cliques = sorted(sorted(c) for c in _maximal_cliques(g_un))
-    scale = _correlation_scale(s_un)
+    weights = _ipf_weights(g_un, s_un)
 
     k = np.diag(1.0 / np.diag(s_un))
     all_idx = np.arange(p)
@@ -170,14 +170,23 @@ def fit_undirected_ipf(
                 krc = k[np.ix_(rest, cl)]
                 update = update + krc.T @ _spd_inverse(k[np.ix_(rest, rest)], "lam") @ krc
             k[np.ix_(cl, cl)] = 0.5 * (update + update.T)
-        w = _spd_inverse(k, "lam")
-        diff = np.abs(w - s_un) * scale
-        err = max(np.max(diff[np.ix_(cl, cl)]) for cl in cliques)
-        if err < tolerance:
-            return 0.5 * (k + k.T)
-    raise MaxIterationsExceeded(
-        f"IPF did not reach tolerance {tolerance} in {max_cycles} cycles"
-    )
+        if _ipf_gap(_spd_inverse(k, "lam"), s_un, weights) < tolerance:
+            break
+    return 0.5 * (k + k.T)
+
+
+def _ipf_weights(g_un: AncestralGraph, s_un: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(s_ii s_jj)`` on the entries of the clique blocks (the
+    diagonal and the edges), 0 elsewhere."""
+    fitted = np.eye(g_un.n, dtype=bool) | (g_un.to_adjacency() != 0)
+    return np.where(fitted, _correlation_scale(s_un), 0.0)
+
+
+def _ipf_gap(w: np.ndarray, s_un: np.ndarray, weights: np.ndarray) -> float:
+    """Largest distance of ``w = inv(lam)`` from ``s_un`` on the clique
+    blocks, in correlation units: IPF has converged when it is below the
+    tolerance."""
+    return float(np.max(np.abs(w - s_un) * weights))
 
 
 def _maximal_cliques(g: AncestralGraph) -> list:
@@ -416,13 +425,18 @@ class _Blocks:
         self.t = _rows_with_parents(g)
         self.t_pos = self.disp_map.positions(self.t)
         self.s_disp = s[np.ix_(self.disp, self.disp)]
+        self.ipf_converged = True
         if self.un:
             s_un = s[np.ix_(self.un, self.un)]
+            g_un = g.subgraph(self.un)
             self.lam = fit_undirected_ipf(
-                g.subgraph(self.un), s_un,
-                tolerance=config.tolerance, max_cycles=config.max_cycles,
+                g_un, s_un, tolerance=config.tolerance, max_cycles=config.max_cycles,
             )
             self.psi_un, logdet_lam = _spd_inverse(self.lam, "lam", logdet=True)
+            # IPF returns its last iterate at the cycle cap; its own test,
+            # on the same inverse, tells whether it stopped there
+            gap = _ipf_gap(self.psi_un, s_un, _ipf_weights(g_un, s_un))
+            self.ipf_converged = gap < config.tolerance
             # log det psi_un + tr(lam s_un): the undirected block's share of
             # -2/n times the log-likelihood, fixed once lam is
             self.un_term = float(np.sum(self.lam * s_un)) - logdet_lam
@@ -462,7 +476,7 @@ class _Blocks:
             deviance=deviance(sigma, stats),
             df=degrees_of_freedom(g),
             iterations=iterations,
-            converged=converged,
+            converged=converged and self.ipf_converged,
             logliks=tuple(logliks),
         )
 
@@ -475,13 +489,13 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     until no entry of the implied covariance moves by ``tolerance`` or
     more in correlation units over one full cycle: the change of entry
     (i, j) is divided by sqrt(s_ii s_jj), so rescaling the variables does
-    not change when the fit stops.  When the cycle budget runs out the
-    best parameters so far are returned with ``converged=False``.  The
-    stop rule needs the implied covariance after every cycle; it is
-    assembled on the rows and columns of the vertices with parents, at
-    O(|T| p^2) for |T| such vertices.  The per-cycle log-likelihood in
-    ``logliks`` is read off the parameter blocks, not off a factorization
-    of the implied covariance.
+    not change when the fit stops.  When the cycle budget of either stage
+    runs out the best parameters so far are returned with
+    ``converged=False``.  The stop rule needs the implied covariance after
+    every cycle; it is assembled on the rows and columns of the vertices
+    with parents, at O(|T| p^2) for |T| such vertices.  The per-cycle
+    log-likelihood in ``logliks`` is read off the parameter blocks, not
+    off a factorization of the implied covariance.
 
     The graph must be maximal for the fit to target the intended
     independence model; unless ``config.check_maximality`` is False a

@@ -105,6 +105,96 @@ def naive_covariance(y: np.ndarray, mean_adjusted: bool = False) -> np.ndarray:
     return s
 
 
+def _reachable(start, step) -> set:
+    """Vertices reached from ``start`` by one or more moves of ``step``."""
+    out = set()
+    stack = list(start)
+    while stack:
+        for w in step(stack.pop()):
+            if w not in out:
+                out.add(w)
+                stack.append(w)
+    return out
+
+
+def _augmented_graph(g: AncestralGraph, i: int, j: int) -> dict:
+    """Neighbour sets of the augmented graph of G_A, A = ant({i, j}): two
+    vertices of A are adjacent when adjacent in G, or when both lie in D or
+    pa(D) for one district D of G_A."""
+    a = _reachable((i, j), lambda v: g.pa(v) | g.ne(v)) | {i, j}
+    nbr = {v: (g.ne(v) | g.pa(v) | g.ch(v) | g.sp(v)) & a for v in a}
+    todo = set(a)
+    while todo:
+        v = todo.pop()
+        district = _reachable((v,), lambda u: g.sp(u) & a) | {v}
+        todo -= district
+        married = district.union(*(g.pa(u) for u in district))
+        for u in married:
+            nbr[u] |= married - {u}
+    return nbr
+
+
+def _cut_size(nbr: dict, i: int, j: int, removed) -> int:
+    """Size of a smallest i-j vertex cut of the graph ``nbr`` less ``removed``.
+
+    By Menger's theorem, the most i-j paths with no inner vertex in common,
+    found by augmenting paths once each vertex v is split into an entry
+    (v, 0) and an exit (v, 1) joined by an arc of capacity 1.
+    """
+    source, sink = (i, 1), (j, 0)
+    flow = set()  # saturated arcs
+    paths = 0
+    while True:
+        parent = {source: None}
+        stack = [source]
+        while stack and sink not in parent:
+            x = stack.pop()
+            v, side = x
+            if side:  # on to a neighbour's entry, or back to the entry of v
+                steps = [(w, 0) for w in nbr[v] if w not in removed and (x, (w, 0)) not in flow]
+                steps += [(v, 0)] if ((v, 0), x) in flow else []
+            else:  # on to the exit of v, or back along the flow into v
+                steps = [] if (x, (v, 1)) in flow else [(v, 1)]
+                steps += [(u, 1) for u in nbr[v] if ((u, 1), x) in flow]
+            for y in steps:
+                if y not in parent:
+                    parent[y] = x
+                    stack.append(y)
+        if sink not in parent:
+            return paths
+        y = sink
+        while parent[y] is not None:
+            x = parent[y]
+            if (y, x) in flow:
+                flow.remove((y, x))
+            else:
+                flow.add((x, y))
+            y = x
+        paths += 1
+
+
+def separating_set_by_flows(g: AncestralGraph, i: int, j: int):
+    """Smallest separating set of a non-adjacent pair, or None, for graphs
+    beyond the reach of exhaustive search.
+
+    The lexicographically first minimum i-j vertex cut of the augmented
+    graph of G_A, A = ant({i, j}), over frozensets of saturated arcs: every
+    vertex of A, in ascending order, is kept while a fresh maximum flow
+    shows that it lowers the cut size by one.
+    """
+    nbr = _augmented_graph(g, i, j)
+    if j in nbr[i]:
+        return None
+    cut = set()
+    k = _cut_size(nbr, i, j, cut)
+    for v in sorted(nbr.keys() - {i, j}):
+        if len(cut) == k:
+            break
+        if _cut_size(nbr, i, j, cut | {v}) < k - len(cut):
+            cut.add(v)
+    return frozenset(cut)
+
+
 # -- graph generation ---------------------------------------------------------
 
 

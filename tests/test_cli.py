@@ -212,6 +212,25 @@ class TestFitText:
         )
         assert rc == 1
 
+    def test_ipf_cap_exits_not_converged(self, capsys, tmp_path):
+        # the undirected block is the chordless 4-cycle, which IPF cannot
+        # fit in one cycle
+        g = AncestralGraph(5, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)], directed=[(0, 4)])
+        gpath = tmp_path / "g.csv"
+        write_graph_csv(g, gpath)
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((5, 8))
+        s = a @ a.T / 8 + 0.25 * np.eye(5)
+        cpath = tmp_path / "cov.csv"
+        with open(cpath, "w", newline="") as fh:
+            csv.writer(fh).writerows([[""] + list(g.labels)] + [
+                [g.labels[i]] + [repr(float(x)) for x in s[i]] for i in range(5)
+            ])
+        argv = ("fit", "--graph", str(gpath), "--cov", str(cpath), "--n", "50")
+        rc, _, err = run(capsys, *argv, "--max-cycles", "1")
+        assert rc == 1, err
+        assert run(capsys, *argv)[0] == 0
+
     def test_cov_with_numeric_labels(self, capsys, tmp_path):
         # empty corner cell and numeric labels, the layout `check` accepts
         gpath = tmp_path / "chain.csv"

@@ -117,6 +117,53 @@ class TestIpf:
         with pytest.raises(NotPositiveDefinite):
             fit_undirected_ipf(g, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_cap_returns_last_iterate(self):
+        rng = np.random.default_rng(131)
+        s = oracles.random_spd(rng, 4)
+        g = AncestralGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
+        capped = fit_undirected_ipf(g, s, tolerance=1e-12, max_cycles=2)
+        assert capped[0, 2] == 0.0 and capped[1, 3] == 0.0
+        assert np.all(np.linalg.eigvalsh(capped) > 0)
+        assert not np.allclose(capped, fit_undirected_ipf(g, s, tolerance=1e-12))
+
+
+def _chordless_cycle_case():
+    """Undirected block the chordless 4-cycle 0 - 1 - 2 - 3 - 0, with
+    0 -> 5, 3 -> 6 and 5 <-> 6 <-> 7 in the arrowhead block."""
+    g = AncestralGraph(
+        8,
+        undirected=[(0, 1), (1, 2), (2, 3), (0, 3)],
+        directed=[(0, 5), (3, 6)],
+        bidirected=[(5, 6), (6, 7)],
+    )
+    return g, _stats(oracles.random_spd(np.random.default_rng(5), 8), 100)
+
+
+class TestCycleCap:
+    # both stages stop at max_cycles with converged=False; neither raises
+
+    def test_ipf_cap_on_chordless_cycle(self):
+        g, st = _chordless_cycle_case()
+        res = fit(g, st, FitConfig(max_cycles=2))
+        assert not res.converged
+        assert np.all(np.isfinite(res.sigma_hat))
+        assert fit(g, st).converged
+
+    def test_ipf_cap_alone_is_reported(self):
+        # ICF settles this graph in 10 cycles; IPF cannot reach 1e-17
+        g, st = _chordless_cycle_case()
+        res = fit(g, st, FitConfig(tolerance=1e-17, max_cycles=200))
+        assert res.iterations < 200
+        assert not res.converged
+
+    def test_rounding_floor_tolerance_on_moth(self):
+        # the 2-clique {wind, rain} inverts back exactly and ICF reaches a
+        # zero change, so even 1e-17 is met
+        res = fit(moth_graph(), moth_stats(), FitConfig(tolerance=1e-17, max_cycles=50))
+        assert res.converged
+        assert res.iterations == 15
+        assert res.deviance == pytest.approx(10.2191, abs=1e-4)
+
 
 class TestIcfStep:
     def test_data_and_covariance_routes_agree(self):

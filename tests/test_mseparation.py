@@ -20,6 +20,7 @@ from agfit import (
     separating_set,
 )
 from agfit.errors import NotMaximal, OverlappingSets, UnknownVertex
+from agfit.mseparation import _inseparable_pairs
 
 
 @pytest.fixture
@@ -373,11 +374,12 @@ def _inseparable_by_walk(g, i, j):
     return not m_separated(g, {i}, {j}, anterior - {i, j})
 
 
-def _district_chain_graph(p, seed, gadgets=()):
+def _district_chain_graph(p, seed, gadgets=(), deep=False):
     """Districts of four consecutive vertices, each a bidirected path; every
-    vertex has up to two parents among the 12 vertices of the three
-    districts before its own.  A gadget at district start d adds d+1 -> d+3
-    and d+2 -> d, an inducing path between d and d+3."""
+    vertex has up to two parents (``deep``: exactly two, where it can)
+    among the 12 vertices of the three districts before its own.  A gadget
+    at district start d adds d+1 -> d+3 and d+2 -> d, an inducing path
+    between d and d+3."""
     rng = np.random.default_rng(seed)
     directed, bidirected = [], []
     for v in range(p):
@@ -385,7 +387,7 @@ def _district_chain_graph(p, seed, gadgets=()):
         if v > start:
             bidirected.append((v - 1, v))
         earlier = range(max(0, start - 12), start)
-        k = min(int(rng.integers(0, 3)), len(earlier))
+        k = min(2 if deep else int(rng.integers(0, 3)), len(earlier))
         directed += [(int(u), v) for u in rng.choice(earlier, size=k, replace=False)]
     for d in gadgets:
         directed += [(d + 1, d + 3), (d + 2, d)]
@@ -427,3 +429,88 @@ class TestInseparabilityAgainstWalk:
         assert sorted(set(h.bidirected_pairs) - set(g.bidirected_pairs)) == planted
         assert all(_inseparable_by_walk(g, i, j) for i, j in planted)
         assert is_maximal(h)
+
+    def test_deep_chain_of_a_hundred_vertices(self):
+        g = _district_chain_graph(100, seed=71, gadgets=(20, 64), deep=True)
+        walk = [
+            (i, j)
+            for i, j in combinations(range(g.n), 2)
+            if not g.is_adjacent(i, j) and _inseparable_by_walk(g, i, j)
+        ]
+        assert (20, 23) in walk and (64, 67) in walk
+        assert _inseparable_pairs(g) == walk
+
+
+class TestSeparatingSetAgainstFlows:
+    # beyond exhaustive search: the per-candidate flow search of the oracle
+    # runs a fresh maximum flow for every vertex of ant({i, j})
+
+    def _check(self, g):
+        records = implied_pairwise_independences(g)
+        for st in records:
+            (i,), (j,) = st.a, st.b
+            want = oracles.separating_set_by_flows(g, i, j)
+            assert (st.c if st.holds else None) == want, (i, j)
+        return records
+
+    def test_random_undirected_graphs(self):
+        rng = np.random.default_rng(73)
+        largest = 0
+        for p in (12, 16, 20, 24, 30):
+            edges = [(i, j) for i, j in combinations(range(p), 2) if rng.random() < 0.4]
+            records = self._check(AncestralGraph(p, undirected=edges))
+            largest = max(largest, max(len(st.c) for st in records))
+        assert largest >= 3
+
+    def test_deep_district_chains(self):
+        for p, seed in ((25, 79), (32, 83), (40, 89)):
+            records = self._check(_district_chain_graph(p, seed, deep=True))
+            assert max(len(st.c) for st in records) == 2
+
+    def test_planted_gadgets(self):
+        rng = np.random.default_rng(97)
+        graphs = [
+            oracles.random_gadget_graph(rng, p, q=0.5) for p in range(9, 15) for _ in range(5)
+        ]
+        graphs.append(_district_chain_graph(40, seed=101, gadgets=(8, 24), deep=True))
+        for g in graphs:
+            assert not all(st.holds for st in self._check(g))
+
+
+class TestTableCache:
+    # the bitset table is built on the first query and kept on the graph
+
+    @staticmethod
+    def _answers(g):
+        pairs = [(i, j) for i, j in combinations(range(g.n), 2) if not g.is_adjacent(i, j)]
+        return (
+            is_maximal(g),
+            [separating_set(g, i, j) for i, j in pairs],
+            maximal_completion(g),
+            [m_separated(g, {i}, {j}, set(range(g.n)) - {i, j}) for i, j in pairs],
+            implied_pairwise_independences(g),
+            is_maximal(g),
+        )
+
+    def test_interleaved_queries_match_a_fresh_graph(self):
+        rng = np.random.default_rng(103)
+        for p in (6, 9, 12):
+            for g in (
+                oracles.random_gadget_graph(rng, p, q=0.5),
+                oracles.random_ancestral_graph(rng, p, q=0.5),
+            ):
+                first = self._answers(g)
+                again = self._answers(g)
+                fresh = self._answers(
+                    AncestralGraph(g.n, g.undirected_pairs, g.directed_pairs, g.bidirected_pairs)
+                )
+                assert first == again == fresh
+
+    def test_lazy_and_ignored_by_equality(self):
+        g = _district_chain_graph(40, seed=107, gadgets=(8,), deep=True)
+        h = AncestralGraph(g.n, g.undirected_pairs, g.directed_pairs, g.bidirected_pairs)
+        assert "_markov_table" not in vars(g)
+        assert "_markov_table" not in vars(maximal_completion(h))
+        assert "_markov_table" in vars(h)
+        assert g == h and hash(g) == hash(h)
+        assert {g: 1}[h] == 1
