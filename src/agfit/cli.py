@@ -15,17 +15,24 @@ Exit codes
   an ``--out`` file that cannot be written (checked before the run).
 * any command: 1 when standard output is closed before all output is
   written (for example piped into ``head``); nothing is printed.
+
+Start-up
+
+``check`` imports no numpy; ``fit`` and ``simulate`` import the
+numerical modules when they run.  Run as a program (the ``agfit``
+script or ``python -m agfit.cli``), the CLI runs OpenBLAS at one thread
+unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` is set; setting one of them chooses the count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import sys
-
-import numpy as np
 
 from .errors import (
     AgfitError,
@@ -36,12 +43,40 @@ from .errors import (
     NotPositiveDefinite,
     SelfLoop,
 )
-from .fit import FitConfig, fit
 from .graph import AncestralGraph, read_graph_csv, read_matrix_csv
 # is_maximal is not called here; the benchmark's tracer wraps it under this name
 from .mseparation import implied_pairwise_independences, is_maximal  # noqa: F401
-from .sim import run_scaling_experiment
-from .stats import SampleStats, chi_square_pvalue, empirical_covariance
+
+# Names that need numpy: bound by the commands that use them (see _load),
+# so that ``check`` starts without numpy.
+_NUMERIC = (
+    "FitConfig",
+    "SampleStats",
+    "chi_square_pvalue",
+    "empirical_covariance",
+    "fit",
+    "run_scaling_experiment",
+)
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the package holds each name as its submodule defined it
+    value = getattr(importlib.import_module(__package__), name)
+    return globals().setdefault(name, value)
+
+
+def _load(*names) -> None:
+    """Bind the given names of ``_NUMERIC`` as globals of this module.
+
+    A name already bound, for example to a wrapper that the benchmark's
+    tracer set on this module, is kept: the commands call these names as
+    globals, as they call the ones imported above.
+    """
+    for name in names:
+        __getattr__(name)
 
 
 class _FlagError(Exception):
@@ -96,6 +131,8 @@ def _build_parser() -> _Parser:
 
 def _read_data_csv(path):
     """Cases-by-variables table with a header; returns (labels, cases matrix)."""
+    import numpy as np
+
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
     if len(rows) < 2:
@@ -126,6 +163,8 @@ def _align_to_graph(g: AncestralGraph, labels, matrix, *, axis: str):
     Unlabeled input must already match the graph's dimension and order;
     labeled input may be a superset of the graph's variables.
     """
+    import numpy as np
+
     if labels is None:
         size = matrix.shape[0] if axis == "both" else matrix.shape[1]
         if size != g.n:
@@ -155,6 +194,8 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _format_matrix(labels, m, precision: int) -> str:
+    import numpy as np
+
     cells = [[_fmt(v, precision) for v in row] for row in np.asarray(m, dtype=float)]
     widths = [
         max(len(labels[j]), max(len(cells[i][j]) for i in range(len(cells))))
@@ -172,6 +213,8 @@ def _format_matrix(labels, m, precision: int) -> str:
 
 
 def _embed(block, idx, n):
+    import numpy as np
+
     out = np.zeros((n, n))
     if len(idx):
         out[np.ix_(idx, idx)] = block
@@ -179,6 +222,8 @@ def _embed(block, idx, n):
 
 
 def _fit_report(g, result, stats, args, out):
+    import numpy as np
+
     n = g.n
     un = list(result.params.un_map.vertices)
     disp = list(result.params.disp_map.vertices)
@@ -289,6 +334,7 @@ def _cmd_fit(args, out) -> int:
         raise _FlagError("--max-cycles must be at least 1")
     if args.precision < 0:
         raise _FlagError("--precision cannot be negative")
+    _load("FitConfig", "fit", "SampleStats", "chi_square_pvalue", "empirical_covariance")
     try:
         g = read_graph_csv(args.graph)
     except GraphError as exc:
@@ -334,6 +380,7 @@ def _cmd_simulate(args, out) -> int:
         raise _FlagError("need 3 <= p-min <= p-max and step >= 1")
     if args.replicates < 1:
         raise _FlagError("need at least one replicate")
+    _load("run_scaling_experiment")
     p_values = list(range(args.p_min, args.p_max + 1, args.step))
     try:  # before the experiment, so that a bad path fails at once
         dest = open(args.out, "w", newline="") if args.out else out
@@ -360,6 +407,15 @@ def _cmd_simulate(args, out) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``argv`` defaults to the process arguments.
+
+    Run as a program (``argv`` None), the CLI sets OpenBLAS to one thread
+    unless one of ``_BLAS_THREAD_VARIABLES`` is set: a second thread makes
+    numpy's import and these small fits slower.  Called with ``argv``, it
+    leaves the environment alone.
+    """
+    if argv is None and not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

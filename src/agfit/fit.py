@@ -161,12 +161,11 @@ def fit_undirected_ipf(
     weights = _ipf_weights(g_un, s_un)
 
     k = np.diag(1.0 / np.diag(s_un))
-    all_idx = np.arange(p)
-    rests = [np.setdiff1d(all_idx, cl) for cl in cliques]
+    rests = [sorted(set(range(p)).difference(cl)) for cl in cliques]
     s_invs = [_spd_inverse(s_un[np.ix_(cl, cl)], "s_un") for cl in cliques]
     for _ in range(max_cycles):
         for cl, rest, update in zip(cliques, rests, s_invs):
-            if rest.size:
+            if rest:
                 krc = k[np.ix_(rest, cl)]
                 update = update + krc.T @ _spd_inverse(k[np.ix_(rest, rest)], "lam") @ krc
             k[np.ix_(cl, cl)] = 0.5 * (update + update.T)
@@ -515,7 +514,7 @@ def fit(g: AncestralGraph, stats: SampleStats, config: FitConfig | None = None) 
     disp_idx = np.array(disp, dtype=int)
     plans = [_VertexPlan(g, i, blocks.disp_map, disp_idx) for i in disp]
     scale = _correlation_scale(s)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if config.restarts else None
 
     best = None
     for run in range(config.restarts + 1):

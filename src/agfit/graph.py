@@ -11,9 +11,8 @@ object is safe to share between threads.
 from __future__ import annotations
 
 import csv
-from typing import Iterable, NamedTuple
-
-import numpy as np
+import operator
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (
     ConditionOneViolated,
@@ -24,6 +23,9 @@ from .errors import (
     SelfLoop,
     UnknownVertex,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
@@ -234,8 +236,10 @@ class AncestralGraph:
         ``vertices`` may be a single vertex or an iterable.  Undirected and
         bidirected edges never contribute to ancestry.
         """
-        if isinstance(vertices, (int, np.integer)):
-            vertices = (vertices,)
+        try:  # an integer of any kind; an array is iterated, not indexed
+            vertices = (operator.index(vertices),)
+        except TypeError:
+            pass
         out = set()
         for j in vertices:
             out |= self._anc[self._check_vertex(j)]
@@ -291,6 +295,8 @@ class AncestralGraph:
         ``a[i, j] = a[j, i] = 1`` for ``i - j``; ``a[i, j] = a[j, i] = 2``
         for ``i <-> j``; ``a[i, j] = 1, a[j, i] = 0`` for ``i -> j``.
         """
+        import numpy as np
+
         a = np.zeros((self._n, self._n), dtype=int)
         for i, j in self._undirected:
             a[i, j] = a[j, i] = 1
@@ -308,17 +314,24 @@ class AncestralGraph:
         table and :class:`SelfLoop` for a nonzero diagonal; the usual
         validation errors apply to the decoded edge lists.
         """
+        import numpy as np
+
         a = np.asarray(matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        n = a.shape[0]
+        return cls._from_rows(a.tolist(), labels)
+
+    @classmethod
+    def _from_rows(cls, a, labels) -> "AncestralGraph":
+        """:meth:`from_adjacency` of a square matrix given as a list of rows."""
+        n = len(a)
         und, dird, bid = [], [], []
         for i in range(n):
-            if a[i, i] != 0:
+            if a[i][i] != 0:
                 raise SelfLoop(i)
         for i in range(n):
             for j in range(i + 1, n):
-                pair = (int(a[i, j]), int(a[j, i]))
+                pair = (int(a[i][j]), int(a[j][i]))
                 if pair == (0, 0):
                     continue
                 elif pair == (1, 1):
@@ -386,6 +399,14 @@ def read_matrix_csv(path, cell_type):
     cell is ignored.  Returns ``(labels or None, matrix)``; malformed input
     raises :class:`GraphParseError` with a line and column.
     """
+    import numpy as np
+
+    labels, rows = _read_matrix_rows(path, cell_type)
+    return labels, np.array(rows, dtype=cell_type).reshape(len(rows), len(rows))
+
+
+def _read_matrix_rows(path, cell_type):
+    """:func:`read_matrix_csv` with the matrix as a list of rows."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
@@ -439,7 +460,7 @@ def read_matrix_csv(path, cell_type):
             labels = header
         else:
             raise GraphParseError(f"{len(header)} header cells for {n} columns", line=1)
-    return labels, np.array(data, dtype=cell_type).reshape(n, n)
+    return labels, data
 
 
 def read_graph_csv(path) -> AncestralGraph:
@@ -451,8 +472,8 @@ def read_graph_csv(path) -> AncestralGraph:
     :class:`GraphParseError` with a line and column for malformed input,
     and the adjacency coding errors otherwise.
     """
-    labels, adjacency = read_matrix_csv(path, int)
-    return AncestralGraph.from_adjacency(adjacency, labels=labels)
+    labels, rows = _read_matrix_rows(path, int)
+    return AncestralGraph._from_rows(rows, labels)
 
 
 def write_graph_csv(g: AncestralGraph, path) -> None:

@@ -252,6 +252,8 @@ def _inseparable_pairs(g: AncestralGraph) -> list:
     proper ancestor of j.  Only pairs of a spouse i of a vertex v1 with
     children and a proper descendant j of v1 are tested.
     """
+    if not any(s and c for s, c in zip(g._sp, g._ch)):
+        return []  # no such v1, so no table is needed
     t = _table(g)
     later = [0] * g.n  # bit j of later[i], i < j: a candidate pair
     for v in range(g.n):

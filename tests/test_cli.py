@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -463,3 +464,35 @@ class TestParser:
     def test_unknown_flag(self, capsys):
         rc, _, err = run(capsys, "check", "--bogus")
         assert rc == 4
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MOTH_FIT = ("fit", "--graph", MOTH_GRAPH, "--cov", MOTH_CORR, "--n", "72")
+
+
+class TestBlasThreads:
+    def test_program_runs_numpy_at_one_thread(self, cli_program):
+        code, out, report = cli_program(*MOTH_FIT, env=dict.fromkeys(BLAS_VARIABLES))
+        assert code == 0
+        assert "$dev\n[1] 10.22" in out
+        assert "numpy" in report["modules"]
+        assert report["env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+        }
+        assert all(count == 1 for count in report["openblas_threads"])
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_chosen_thread_count_is_kept(self, cli_program, variable):
+        env = dict.fromkeys(BLAS_VARIABLES)
+        env[variable] = "2"
+        code, _, report = cli_program(*MOTH_FIT, env=env)
+        assert code == 0
+        assert report["env"] == env
+
+    def test_in_process_calls_leave_the_environment_alone(self, capsys, monkeypatch):
+        for name in BLAS_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        assert run(capsys, "check", MOTH_GRAPH)[0] == 0
+        assert run(capsys, *MOTH_FIT)[0] == 0
+        assert dict(os.environ) == before

@@ -79,6 +79,13 @@ class TestAncestors:
         assert mixed5.ancestors({0, 4}) == frozenset({0, 1, 2, 4})
         assert mixed5.ancestors(set()) == frozenset()
 
+    def test_numpy_vertex_arguments(self, mixed5):
+        # a numpy integer is one vertex; an array is a set of vertices
+        for v in range(5):
+            assert mixed5.ancestors(np.int64(v)) == mixed5.ancestors(v)
+        assert mixed5.ancestors(np.array([0, 4])) == mixed5.ancestors({0, 4})
+        assert mixed5.ancestors(np.array([3])) == frozenset({3})
+
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

@@ -514,3 +514,11 @@ class TestTableCache:
         assert "_markov_table" in vars(h)
         assert g == h and hash(g) == hash(h)
         assert {g: 1}[h] == 1
+
+    def test_no_table_without_a_vertex_with_spouse_and_child(self):
+        # only a vertex with both a spouse and a child can start an
+        # inseparable pair, so maximality needs no table without one
+        g = bidirected_cycle_graph(50)
+        assert is_maximal(g)
+        assert maximal_completion(g) is g
+        assert "_markov_table" not in vars(g)
