@@ -30,9 +30,8 @@ _EXPORTS = {
         "write_graph_csv",
     ),
     "mseparation": (
-        "IndependenceStatement", "SeparationQuery",
-        "implied_pairwise_independences", "is_maximal",
-        "m_connecting_path_exists", "m_separated", "maximal_completion",
+        "IndependenceStatement", "implied_pairwise_independences",
+        "is_maximal", "m_connecting_path_exists", "m_separated", "maximal_completion",
         "separating_set",
     ),
     "params": ("IndexMap", "ParamSet", "build_sigma", "conditional_variance", "psi"),

@@ -28,7 +28,6 @@ unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import os
@@ -43,7 +42,13 @@ from .errors import (
     NotPositiveDefinite,
     SelfLoop,
 )
-from .graph import AncestralGraph, read_graph_csv, read_matrix_csv
+from .graph import (
+    AncestralGraph,
+    _convert_row,
+    _csv_rows,
+    read_graph_csv,
+    read_matrix_csv,
+)
 # is_maximal is not called here; the benchmark's tracer wraps it under this name
 from .mseparation import implied_pairwise_independences, is_maximal  # noqa: F401
 
@@ -133,27 +138,17 @@ def _read_data_csv(path):
     """Cases-by-variables table with a header; returns (labels, cases matrix)."""
     import numpy as np
 
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+    rows = _csv_rows(path)
     if len(rows) < 2:
         raise GraphParseError(f"data file {path} needs a header and at least one case")
-    labels = [c.strip() for c in rows[0]]
+    labels = rows[0]
     data = []
-    for r, row in enumerate(rows[1:], start=2):
-        cells = [c.strip() for c in row]
-        if len(cells) != len(labels):
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(labels):
             raise GraphParseError(
-                f"row has {len(cells)} cells, expected {len(labels)}", line=r
+                f"row has {len(row)} cells, expected {len(labels)}", line=line
             )
-        vals = []
-        for c_idx, cell in enumerate(cells, start=1):
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise GraphParseError(
-                    f"expected a number, found {cell!r}", line=r, column=c_idx
-                ) from None
-        data.append(vals)
+        data.append(_convert_row(row, float, line))
     return labels, np.array(data, dtype=float)
 
 

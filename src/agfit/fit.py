@@ -57,8 +57,16 @@ from .errors import (
 )
 from .graph import AncestralGraph
 from .mseparation import is_maximal
-from .params import IndexMap, ParamSet, _block_psi, _cholesky, _implied_sigma, _spd_inverse
-from .stats import SampleStats, _logdet, degrees_of_freedom, deviance, log_likelihood
+from .params import (
+    IndexMap,
+    ParamSet,
+    _block_psi,
+    _cholesky,
+    _implied_sigma,
+    _logdet,
+    _spd_inverse,
+)
+from .stats import SampleStats, degrees_of_freedom, deviance, log_likelihood
 
 
 # Relative log-likelihood gain a restart needs to replace the kept run;
@@ -566,7 +574,7 @@ def _run_icf(g, stats, blocks, beta, omega, plans, scale, config) -> FitResult:
         k_inv.fold()
         new_sigma = blocks.sigma(beta, omega)
         # the factor checks that omega is still positive definite
-        logdet = _logdet(omega, "omega")
+        logdet = _logdet(_cholesky(omega, "omega is not positive definite"))
         logliks.append(blocks.loglik(n, beta, k_inv.k0, logdet))
         delta = float(np.max(np.abs(new_sigma - sigma) * scale))
         sigma = new_sigma

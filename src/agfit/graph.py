@@ -6,6 +6,15 @@ has a directed path back to one of its own parents or spouses.  Directed
 acyclic graphs and undirected graphs are special cases.  Instances are
 immutable: all relations are computed at construction time and the
 object is safe to share between threads.
+
+A graph keeps its relations as one :class:`Relations` table of
+Python-int bitsets, one per vertex and relation: bit w of ``pa[v]`` is
+set when w is a parent of v.  The constructor fills the masks of
+parents, children, spouses and undirected neighbours from the edge lists
+and derives the ancestors, anterior sets and proper descendants in one
+pass over the vertices, parents first.  The queries of
+:mod:`agfit.mseparation` read that table; ``pa``, ``ch``, ``sp`` and
+``ne`` return frozensets built from it once.
 """
 
 from __future__ import annotations
@@ -55,6 +64,56 @@ class Decomposition(NamedTuple):
     g_db: "AncestralGraph"
 
 
+class Relations(NamedTuple):
+    """Per vertex v, a bitset with bit w set when w is in the relation."""
+
+    pa: tuple
+    ch: tuple
+    sp: tuple
+    ne: tuple
+    adj: tuple
+    ant: tuple  # v and its anterior vertices
+    anc: tuple  # v and its ancestors
+    de: tuple  # proper descendants of v
+
+
+def _bits(mask: int):
+    """Vertices of ``mask`` in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# The frozensets of all masks below 256, shared since frozensets are immutable:
+# on up to 8 vertices a view or an ancestor set is a lookup, not a build.
+_SMALL_SETS = tuple(frozenset(_bits(m)) for m in range(256))
+
+
+def _frozen(mask: int) -> frozenset:
+    """The vertices of ``mask`` as a frozenset."""
+    return _SMALL_SETS[mask] if mask < 256 else frozenset(_bits(mask))
+
+
+def _union(rel: tuple, mask: int) -> int:
+    """The union of ``rel[v]`` over the vertices v of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= rel[low.bit_length() - 1]
+    return out
+
+
+def _closure(rel: tuple, start: int, within: int = -1) -> int:
+    """``start`` and the vertices joined to it by paths of ``rel`` inside ``within``."""
+    out = frontier = start
+    while frontier:
+        frontier = _union(rel, frontier) & within & ~out
+        out |= frontier
+    return out
+
+
 class AncestralGraph:
     """Immutable mixed graph validated to be ancestral at construction.
 
@@ -98,75 +157,82 @@ class AncestralGraph:
             if len(set(self._labels)) != self._n:
                 raise ValueError("labels are not unique")
 
-        ne = [set() for _ in range(self._n)]
-        sp = [set() for _ in range(self._n)]
-        pa = [set() for _ in range(self._n)]
-        ch = [set() for _ in range(self._n)]
-        seen_pairs = set()
+        n = self._n
+        pa, ch, sp, ne, adj = ([0] * n for _ in range(5))
 
         def check_pair(i, j):
             i, j = int(i), int(j)
-            if not (0 <= i < self._n and 0 <= j < self._n):
-                raise UnknownVertex(f"edge endpoint outside 0..{self._n - 1}: ({i}, {j})")
+            if not (0 <= i < n and 0 <= j < n):
+                raise UnknownVertex(f"edge endpoint outside 0..{n - 1}: ({i}, {j})")
             if i == j:
                 raise SelfLoop(i)
-            key = frozenset((i, j))
-            if key in seen_pairs:
+            if adj[i] >> j & 1:
                 raise MultiEdge(i, j)
-            seen_pairs.add(key)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
             return i, j
 
         und, dird, bid = [], [], []
         for i, j in undirected:
             i, j = check_pair(i, j)
-            a, b = min(i, j), max(i, j)
-            und.append((a, b))
-            ne[a].add(b)
-            ne[b].add(a)
+            und.append((i, j) if i < j else (j, i))
+            ne[i] |= 1 << j
+            ne[j] |= 1 << i
         for i, j in directed:
             i, j = check_pair(i, j)
             dird.append((i, j))
-            ch[i].add(j)
-            pa[j].add(i)
+            ch[i] |= 1 << j
+            pa[j] |= 1 << i
         for i, j in bidirected:
             i, j = check_pair(i, j)
-            a, b = min(i, j), max(i, j)
-            bid.append((a, b))
-            sp[a].add(b)
-            sp[b].add(a)
+            bid.append((i, j) if i < j else (j, i))
+            sp[i] |= 1 << j
+            sp[j] |= 1 << i
 
-        for i in range(self._n):
-            if ne[i] and (pa[i] or sp[i]):
-                raise ConditionOneViolated(i)
+        for v in range(n):
+            if ne[v] and (pa[v] or sp[v]):
+                raise ConditionOneViolated(v)
 
-        # Reflexive transitive closure over directed edges.  Computed with a
-        # worklist so that cyclic (hence invalid) input still terminates.
-        anc = [set((i,)) for i in range(self._n)]
-        for j in range(self._n):
-            stack = list(pa[j])
-            while stack:
-                k = stack.pop()
-                if k not in anc[j]:
-                    anc[j].add(k)
-                    stack.extend(pa[k])
+        # Parents before children.  On cyclic input the vertices on or below
+        # a directed cycle are never placed, and their descendants are found
+        # by search instead.
+        order = [v for v in range(n) if not pa[v]]
+        placed = sum(1 << v for v in order)
+        for v in order:
+            for c in _bits(ch[v] & ~placed):
+                if not pa[c] & ~placed:
+                    order.append(c)
+                    placed |= 1 << c
+        de = [0] * n  # proper descendants
+        for v in _bits((1 << n) - 1 & ~placed):
+            de[v] = _closure(ch, ch[v])
+        for v in reversed(order):
+            de[v] = ch[v] | _union(de, ch[v])
+        for v in range(n):
+            if (pa[v] | sp[v]) & de[v]:
+                raise ConditionTwoViolated(v)
 
-        for i in range(self._n):
-            for k in pa[i] | sp[i]:
-                if i in anc[k]:
-                    raise ConditionTwoViolated(i)
+        # a vertex with an undirected neighbour has no parents, so its
+        # anterior set is its component of undirected edges
+        ant = [0] * n
+        for v in range(n):
+            if ne[v] and not ant[v]:
+                comp = _closure(ne, 1 << v)
+                for u in _bits(comp):
+                    ant[u] = comp
+        anc = [0] * n
+        for v in order:
+            anc[v] = 1 << v | _union(anc, pa[v])
+            ant[v] |= 1 << v | _union(ant, pa[v])
 
-        self._ne = tuple(frozenset(s) for s in ne)
-        self._sp = tuple(frozenset(s) for s in sp)
-        self._pa = tuple(frozenset(s) for s in pa)
-        self._ch = tuple(frozenset(s) for s in ch)
-        self._anc = tuple(frozenset(s) for s in anc)
-        self._adjacent = frozenset(seen_pairs)
+        self._rel = Relations(*(tuple(r) for r in (pa, ch, sp, ne, adj, ant, anc, de)))
+        self._pa, self._ch, self._sp, self._ne = (
+            tuple(map(_frozen, rel)) for rel in (pa, ch, sp, ne)
+        )
         self._undirected = tuple(sorted(und))
         self._directed = tuple(sorted(dird))
         self._bidirected = tuple(sorted(bid))
-        self._un_vertices = frozenset(
-            i for i in range(self._n) if not self._pa[i] and not self._sp[i]
-        )
+        self._un_vertices = frozenset(v for v in range(n) if not pa[v] | sp[v])
 
     # -- basic queries ------------------------------------------------------
 
@@ -228,7 +294,7 @@ class AncestralGraph:
 
     def is_adjacent(self, i, j) -> bool:
         i, j = self._check_vertex(i), self._check_vertex(j)
-        return frozenset((i, j)) in self._adjacent
+        return bool(self._rel.adj[i] >> j & 1)
 
     def ancestors(self, vertices) -> frozenset:
         """Vertices with a directed path into the given set, plus the set.
@@ -240,10 +306,11 @@ class AncestralGraph:
             vertices = (operator.index(vertices),)
         except TypeError:
             pass
-        out = set()
+        anc = self._rel.anc
+        out = 0
         for j in vertices:
-            out |= self._anc[self._check_vertex(j)]
-        return frozenset(out)
+            out |= anc[self._check_vertex(j)]
+        return _frozen(out)
 
     @property
     def un_vertices(self) -> frozenset:
@@ -253,14 +320,8 @@ class AncestralGraph:
     @property
     def db_vertices(self) -> frozenset:
         """Vertices incident to at least one directed or bidirected edge."""
-        out = set()
-        for a, b in self._directed:
-            out.add(a)
-            out.add(b)
-        for a, b in self._bidirected:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
+        r = self._rel
+        return frozenset(v for v in range(self._n) if r.pa[v] | r.ch[v] | r.sp[v])
 
     # -- derived graphs -----------------------------------------------------
 
@@ -380,12 +441,25 @@ class AncestralGraph:
 # -- CSV round trip ----------------------------------------------------------
 
 
-def _parses(cell: str, cell_type) -> bool:
-    try:
-        cell_type(cell)
-        return True
-    except ValueError:
-        return False
+def _csv_rows(path) -> list:
+    """The rows of a CSV file that hold a nonblank cell, every cell stripped."""
+    with open(path, newline="") as fh:
+        rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    return [row for row in rows if any(row)]
+
+
+def _convert_row(cells, cell_type, line: int, first_column: int = 1) -> list:
+    """``cells`` converted by ``cell_type``; a cell that does not convert
+    raises :class:`GraphParseError` with its line and column."""
+    vals = []
+    for column, cell in enumerate(cells, start=first_column):
+        try:
+            vals.append(cell_type(cell))
+        except ValueError:
+            raise GraphParseError(
+                f"cannot read {cell!r} as {cell_type.__name__}", line=line, column=column
+            ) from None
+    return vals
 
 
 def read_matrix_csv(path, cell_type):
@@ -407,45 +481,30 @@ def read_matrix_csv(path, cell_type):
 
 def _read_matrix_rows(path, cell_type):
     """:func:`read_matrix_csv` with the matrix as a list of rows."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    rows = _csv_rows(path)
     if not rows:
         raise GraphParseError(f"empty matrix file {path}")
-
-    first = [c.strip() for c in rows[0]]
-    header = None
-    body = rows
-    body_start = 1
-    if not all(_parses(c, cell_type) for c in first):
-        header = first
-        body = rows[1:]
-        body_start = 2
-        if not body:
-            raise GraphParseError("header row with no data rows", line=1)
-    row_labels = False
-    if header is not None:
-        first_body = [c.strip() for c in body[0]]
+    header, skip = None, 0
+    try:
+        data = [_convert_row(rows[0], cell_type, 1)]
+    except GraphParseError:
+        header, data = rows[0], []
+        if len(rows) == 1:
+            raise GraphParseError("header row with no data rows", line=1) from None
+        first = rows[1]
         # an empty corner cell marks a label column even when labels look numeric
-        if header[0] == "" and len(first_body) == len(header):
-            row_labels = True
-        elif not _parses(first_body[0], cell_type):
-            row_labels = True
-
-    data = []
-    for r, row in enumerate(body, start=body_start):
-        cells = [c.strip() for c in row]
-        if row_labels:
-            cells = cells[1:]
-        vals = []
-        for c_idx, cell in enumerate(cells, start=(2 if row_labels else 1)):
-            if not _parses(cell, cell_type):
-                raise GraphParseError(
-                    f"cannot read {cell!r} as {cell_type.__name__}", line=r, column=c_idx
-                )
-            vals.append(cell_type(cell))
-        data.append(vals)
+        if header[0] == "" and len(first) == len(header):
+            skip = 1
+        else:
+            try:
+                cell_type(first[0])
+            except ValueError:
+                skip = 1
+    for line, row in enumerate(rows[1:], start=2):
+        data.append(_convert_row(row[skip:], cell_type, line, skip + 1))
 
     n = len(data)
+    body_start = 1 if header is None else 2
     for r, row in enumerate(data):
         if len(row) != n:
             raise GraphParseError(

@@ -1,9 +1,9 @@
 """m-separation queries, implied independences, and maximality.
 
-Every query reads one table per graph, built on the first query and kept
-on the graph, which is immutable: per vertex, Python-int bitsets of its
-parents, children, spouses, undirected neighbours, adjacent vertices,
-anterior set, ancestors and proper descendants.
+Every query reads the relation table that a graph builds at
+construction (:class:`~agfit.graph.Relations`): per vertex, Python-int
+bitsets of its parents, children, spouses, undirected neighbours,
+adjacent vertices, anterior set, ancestors and proper descendants.
 
 A path m-connects two vertices given a conditioning set C when every
 non-endpoint vertex at which both incident edges carry an arrowhead (a
@@ -34,10 +34,9 @@ disjoint paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import OverlappingSets
-from .graph import AncestralGraph
+from .graph import AncestralGraph, Relations, _bits, _closure, _frozen, _union
 
 
 def _check_query(a, b, c) -> None:
@@ -46,24 +45,6 @@ def _check_query(a, b, c) -> None:
         raise ValueError("query sets A and B must be nonempty")
     if a & b or a & c or b & c:
         raise OverlappingSets("query sets must be pairwise disjoint")
-
-
-@dataclass(frozen=True)
-class SeparationQuery:
-    """A triple (A, B, C) of pairwise disjoint vertex sets, A and B nonempty."""
-
-    a: frozenset
-    b: frozenset
-    c: frozenset
-
-    def __post_init__(self):
-        a = frozenset(self.a)
-        b = frozenset(self.b)
-        c = frozenset(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        _check_query(a, b, c)
 
 
 @dataclass(frozen=True)
@@ -80,37 +61,6 @@ class IndependenceStatement:
     holds: bool
 
 
-class _Table(NamedTuple):
-    """Per vertex v, a bitset with bit w set when w is in the relation."""
-
-    pa: tuple
-    ch: tuple
-    sp: tuple
-    ne: tuple
-    adj: tuple
-    ant: tuple  # v and its anterior vertices
-    anc: tuple  # v and its ancestors
-    de: tuple  # proper descendants of v
-
-
-def _bits(mask: int):
-    """Vertices of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _union(rel: tuple, mask: int) -> int:
-    """The union of ``rel[v]`` over the vertices v of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= rel[low.bit_length() - 1]
-    return out
-
-
 def _mask(g: AncestralGraph, vertices) -> int:
     """Bitset of ``vertices``, each checked to be a vertex of ``g``."""
     m = 0
@@ -119,53 +69,7 @@ def _mask(g: AncestralGraph, vertices) -> int:
     return m
 
 
-def _table(g: AncestralGraph) -> _Table:
-    """The bitset table of ``g``, built on the first query and kept on it."""
-    table = getattr(g, "_markov_table", None)
-    if table is not None:
-        return table
-    n = g.n
-    pa, ch, sp, ne = ([0] * n for _ in range(4))
-    for u, v in g.directed_pairs:
-        ch[u] |= 1 << v
-        pa[v] |= 1 << u
-    for rel, pairs in ((ne, g.undirected_pairs), (sp, g.bidirected_pairs)):
-        for u, v in pairs:
-            rel[u] |= 1 << v
-            rel[v] |= 1 << u
-    # a vertex with an undirected neighbour has no parents, so its
-    # anterior set is its component of undirected edges
-    ant = [0] * n
-    for v in range(n):
-        if not ant[v]:
-            comp = _closure(ne, 1 << v)
-            for u in _bits(comp):
-                ant[u] = comp
-    # an ancestor has fewer ancestors, so parents come first in this order
-    order = sorted(range(n), key=lambda v: len(g._anc[v]))
-    anc = [1 << v for v in range(n)]
-    for v in order:
-        anc[v] |= _union(anc, pa[v])
-        ant[v] |= _union(ant, pa[v])
-    de = [0] * n
-    for v in reversed(order):
-        de[v] = ch[v] | _union(de, ch[v])
-    adj = [pa[v] | ch[v] | sp[v] | ne[v] for v in range(n)]
-    table = _Table(*(tuple(rel) for rel in (pa, ch, sp, ne, adj, ant, anc, de)))
-    g._markov_table = table
-    return table
-
-
-def _closure(rel: tuple, start: int, within: int = -1) -> int:
-    """``start`` and the vertices joined to it by paths of ``rel`` inside ``within``."""
-    out = frontier = start
-    while frontier:
-        frontier = _union(rel, frontier) & within & ~out
-        out |= frontier
-    return out
-
-
-def _m_connected(t: _Table, a: int, b: int, c: int) -> bool:
+def _m_connected(t: Relations, a: int, b: int, c: int) -> bool:
     """True when some path m-connects a vertex of ``a`` with one of ``b``
     given ``c``, all three disjoint masks.
 
@@ -213,23 +117,23 @@ def m_connecting_path_exists(g: AncestralGraph, i, j, c=frozenset()) -> bool:
     c = _mask(g, c)
     if i == j or c >> i & 1 or c >> j & 1:
         raise OverlappingSets("endpoints must be distinct and outside C")
-    return _m_connected(_table(g), 1 << i, 1 << j, c)
+    return _m_connected(g._rel, 1 << i, 1 << j, c)
 
 
 def m_separated(g: AncestralGraph, a, b, c=frozenset()) -> bool:
     """True when every pair across A and B is m-separated given C.
 
-    The sets are checked as a :class:`SeparationQuery` is, after each
-    vertex is checked against the graph.
+    Each vertex is checked against the graph; A and B must be nonempty and
+    the three sets pairwise disjoint.
     """
     if isinstance(a, int) or isinstance(b, int):
         raise TypeError("A and B must be vertex sets")
     a, b, c = _mask(g, a), _mask(g, b), _mask(g, c)
     _check_query(a, b, c)
-    return not _m_connected(_table(g), a, b, c)
+    return not _m_connected(g._rel, a, b, c)
 
 
-def _inseparable(t: _Table, i: int, j: int) -> bool:
+def _inseparable(t: Relations, i: int, j: int) -> bool:
     """True when no set m-separates the non-adjacent pair ``i``, ``j``.
 
     That happens exactly when i and j are adjacent in the augmented graph
@@ -252,9 +156,7 @@ def _inseparable_pairs(g: AncestralGraph) -> list:
     proper ancestor of j.  Only pairs of a spouse i of a vertex v1 with
     children and a proper descendant j of v1 are tested.
     """
-    if not any(s and c for s, c in zip(g._sp, g._ch)):
-        return []  # no such v1, so no table is needed
-    t = _table(g)
+    t = g._rel
     later = [0] * g.n  # bit j of later[i], i < j: a candidate pair
     for v in range(g.n):
         if not (t.sp[v] and t.ch[v]):
@@ -269,7 +171,7 @@ def _inseparable_pairs(g: AncestralGraph) -> list:
     ]
 
 
-def _augmented_graph(t: _Table, i: int, j: int) -> list:
+def _augmented_graph(t: Relations, i: int, j: int) -> list:
     """Neighbour masks of the augmented graph of G_A, A = ant({i, j}), 0
     outside A: two vertices of A are adjacent when adjacent in G, or when
     both lie in D or pa(D) for one district D of G_A, since a collider
@@ -377,7 +279,7 @@ def separating_set(g: AncestralGraph, i, j):
     j = g._check_vertex(j)
     if i == j:
         raise OverlappingSets("endpoints must be distinct")
-    nbr = _augmented_graph(_table(g), i, j)
+    nbr = _augmented_graph(g._rel, i, j)
     if nbr[i] >> j & 1:  # adjacent in G, or joined by a collider path in G_A
         return None
     need, todo = _max_flow(nbr, i, j, 0, g.n)
@@ -392,7 +294,7 @@ def separating_set(g: AncestralGraph, i, j):
         # that flow is a maximum flow of the graph less the cut, so every
         # minimum cut that is left has its vertices on the paths it carries
         todo &= carriers
-    return frozenset(_bits(cut))
+    return _frozen(cut)
 
 
 def implied_pairwise_independences(g: AncestralGraph) -> tuple:
@@ -402,7 +304,7 @@ def implied_pairwise_independences(g: AncestralGraph) -> tuple:
     lexicographic order) or ``holds=False`` when the pair cannot be
     separated.
     """
-    adj = _table(g).adj
+    adj = g._rel.adj
     out = []
     for i in range(g.n):
         for j in range(i + 1, g.n):

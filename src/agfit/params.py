@@ -184,8 +184,13 @@ def _spd_inverse(m: np.ndarray, what: str, *, logdet: bool = False):
     inv = np.linalg.inv(m)
     inv = 0.5 * (inv + inv.T)
     if logdet:
-        return inv, 2.0 * float(np.sum(np.log(np.diagonal(c))))
+        return inv, _logdet(c)
     return inv
+
+
+def _logdet(c: np.ndarray) -> float:
+    """log det of the matrix whose lower Cholesky factor is ``c``."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(c))))
 
 
 def _implied_sigma(beta: np.ndarray, psi_m: np.ndarray) -> np.ndarray:

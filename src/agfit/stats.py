@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDf
-from .params import _cholesky, _spd_cholesky
+from .params import _cholesky, _logdet, _spd_cholesky
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ def empirical_covariance(y, *, mean_adjusted: bool = False) -> SampleStats:
     return SampleStats.from_covariance(s, n, mean_adjusted=mean_adjusted)
 
 
-def _logdet(m: np.ndarray, what: str) -> float:
-    c = _cholesky(m, f"{what} is not positive definite")
-    return 2.0 * float(np.sum(np.log(np.diagonal(c))))
-
-
 def log_likelihood(sigma: np.ndarray, stats: SampleStats) -> float:
     """Gaussian log-likelihood of a covariance matrix, up to an additive constant.
 
@@ -73,7 +68,7 @@ def log_likelihood(sigma: np.ndarray, stats: SampleStats) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (stats.p, stats.p):
         raise DimensionMismatch("sigma does not match the sample dimension")
-    logdet = _logdet(sigma, "sigma")
+    logdet = _logdet(_cholesky(sigma, "sigma is not positive definite"))
     trace = float(np.trace(np.linalg.solve(sigma, stats.s)))
     return -0.5 * stats.n * (logdet + trace)
 
@@ -84,7 +79,8 @@ def deviance(sigma_hat: np.ndarray, stats: SampleStats) -> float:
     ``2 * (l(s) - l(sigma_hat))`` with :func:`log_likelihood` ``l`` and
     ``l(s) = -(n/2) * (log det s + p)``.
     """
-    saturated = -0.5 * stats.n * (_logdet(stats.s, "sample covariance") + stats.p)
+    s_logdet = _logdet(_cholesky(stats.s, "sample covariance is not positive definite"))
+    saturated = -0.5 * stats.n * (s_logdet + stats.p)
     return 2.0 * (saturated - log_likelihood(sigma_hat, stats))
 
 

@@ -110,7 +110,7 @@ def test_star_import_binds_every_public_name(agfit_env):
         "exec('from agfit import *', ns)\n"
         "print(len(agfit.__all__), listed, sorted(set(ns) - {'__builtins__'}) == agfit.__all__)"
     )
-    assert _run_python(code, agfit_env) == "64 True True"
+    assert _run_python(code, agfit_env) == "63 True True"
 
 
 def test_unknown_name_raises_attribute_error():

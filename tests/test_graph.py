@@ -150,6 +150,73 @@ class TestValidation:
         with pytest.raises(ConditionOneViolated):
             AncestralGraph(4, undirected=[(0, 1), (1, 2)], directed=[(3, 2)])
 
+    def test_reported_vertex_and_pair(self):
+        # the first offending vertex in index order; the pair as given last
+        with pytest.raises(ConditionTwoViolated) as err:
+            AncestralGraph(3, directed=[(0, 1), (1, 2), (2, 0)])
+        assert err.value.vertex == 0
+        with pytest.raises(ConditionTwoViolated) as err:
+            AncestralGraph(3, directed=[(0, 1), (1, 2)], bidirected=[(0, 2)])
+        assert err.value.vertex == 0
+        with pytest.raises(MultiEdge) as err:
+            AncestralGraph(3, directed=[(2, 1)], bidirected=[(1, 2)])
+        assert err.value.pair == (1, 2)
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+class TestRelations:
+    """Every mask of the relation table against closures of the edge lists."""
+
+    @staticmethod
+    def _check(g):
+        pa = {v: {a for a, b in g.directed_pairs if b == v} for v in range(g.n)}
+        ch = {v: {b for a, b in g.directed_pairs if a == v} for v in range(g.n)}
+        ne = {v: set() for v in range(g.n)}
+        sp = {v: set() for v in range(g.n)}
+        for rel, pairs in ((ne, g.undirected_pairs), (sp, g.bidirected_pairs)):
+            for a, b in pairs:
+                rel[a].add(b)
+                rel[b].add(a)
+        want = {
+            "pa": pa,
+            "ch": ch,
+            "sp": sp,
+            "ne": ne,
+            "adj": {v: pa[v] | ch[v] | sp[v] | ne[v] for v in range(g.n)},
+            "ant": {
+                v: {v} | oracles._reachable({v}, lambda w: pa[w] | ne[w]) for v in range(g.n)
+            },
+            "anc": {v: {v} | oracles._reachable({v}, pa.__getitem__) for v in range(g.n)},
+            "de": {v: oracles._reachable({v}, ch.__getitem__) for v in range(g.n)},
+        }
+        got = g._rel._asdict()
+        assert set(got) == set(want)
+        for name, rel in want.items():
+            assert got[name] == tuple(_mask(rel[v]) for v in range(g.n)), name
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(113)
+        for p in range(1, 13):
+            for _ in range(4):
+                self._check(oracles.random_ancestral_graph(rng, p, q=0.4))
+                if p >= 4:
+                    self._check(oracles.random_gadget_graph(rng, p, q=0.4))
+
+    def test_undirected_components(self):
+        # 0 - 1 - 2 and 3 - 4 feed 5 -> 6 <-> 7 <- 2
+        g = AncestralGraph(
+            8,
+            undirected=[(0, 1), (1, 2), (3, 4)],
+            directed=[(0, 5), (3, 5), (5, 6), (2, 7)],
+            bidirected=[(6, 7)],
+        )
+        self._check(g)
+        assert g._rel.ant[6] == _mask({0, 1, 2, 3, 4, 5, 6})
+        assert g._rel.anc[6] == _mask({0, 3, 5, 6})
+
 
 class TestDecompose:
     def test_mixed_example(self, mixed5):

@@ -10,7 +10,6 @@ import oracles
 from agfit import (
     AncestralGraph,
     SampleStats,
-    SeparationQuery,
     bidirected_cycle_graph,
     fit,
     implied_pairwise_independences,
@@ -86,12 +85,6 @@ class TestQueryValidation:
     def test_unknown_vertex_rejected(self, mixed5):
         with pytest.raises(Exception):
             m_separated(mixed5, {0}, {9}, set())
-
-    def test_query_object(self):
-        q = SeparationQuery(frozenset({0}), frozenset({2}), frozenset({1}))
-        assert q.a == frozenset({0})
-        with pytest.raises(OverlappingSets):
-            SeparationQuery(frozenset({0}), frozenset({0}), frozenset())
 
 
 class TestAgainstPathEnumeration:
@@ -478,7 +471,7 @@ class TestSeparatingSetAgainstFlows:
 
 
 class TestTableCache:
-    # the bitset table is built on the first query and kept on the graph
+    # every query reads the bitset table that the graph builds at construction
 
     @staticmethod
     def _answers(g):
@@ -509,16 +502,13 @@ class TestTableCache:
     def test_lazy_and_ignored_by_equality(self):
         g = _district_chain_graph(40, seed=107, gadgets=(8,), deep=True)
         h = AncestralGraph(g.n, g.undirected_pairs, g.directed_pairs, g.bidirected_pairs)
-        assert "_markov_table" not in vars(g)
-        assert "_markov_table" not in vars(maximal_completion(h))
-        assert "_markov_table" in vars(h)
+        maximal_completion(h)
         assert g == h and hash(g) == hash(h)
         assert {g: 1}[h] == 1
 
     def test_no_table_without_a_vertex_with_spouse_and_child(self):
         # only a vertex with both a spouse and a child can start an
-        # inseparable pair, so maximality needs no table without one
+        # inseparable pair
         g = bidirected_cycle_graph(50)
         assert is_maximal(g)
         assert maximal_completion(g) is g
-        assert "_markov_table" not in vars(g)
