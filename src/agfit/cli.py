@@ -207,17 +207,10 @@ def _format_matrix(labels, m, precision: int) -> str:
     return "\n".join(lines)
 
 
-def _embed(block, idx, n):
-    import numpy as np
-
-    out = np.zeros((n, n))
-    if len(idx):
-        out[np.ix_(idx, idx)] = block
-    return out
-
-
 def _fit_report(g, result, stats, args, out):
     import numpy as np
+
+    from .params import _embed
 
     n = g.n
     un = list(result.params.un_map.vertices)
@@ -225,9 +218,9 @@ def _fit_report(g, result, stats, args, out):
     lam_cov = np.linalg.inv(result.lambda_hat) if un else np.zeros((0, 0))
     blocks = [
         ("$Shat", result.sigma_hat),
-        ("$Lhat", _embed(lam_cov, un, n)),
+        ("$Lhat", _embed(n, (un, lam_cov))),
         ("$Bhat", np.eye(n) - result.beta_hat),
-        ("$Ohat", _embed(result.omega_hat, disp, n)),
+        ("$Ohat", _embed(n, (disp, result.omega_hat))),
     ]
     pvalue = (
         chi_square_pvalue(max(result.deviance, 0.0), result.df)
@@ -269,7 +262,7 @@ def _fit_report(g, result, stats, args, out):
         print("$Lhat_concentration", file=out)
         print(
             _format_matrix(
-                list(g.labels), _embed(result.lambda_hat, un, n), prec
+                list(g.labels), _embed(n, (un, result.lambda_hat)), prec
             ),
             file=out,
         )
@@ -334,7 +327,7 @@ def _cmd_fit(args, out) -> int:
         g = read_graph_csv(args.graph)
     except GraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (GraphParseError, InvalidCoding, SelfLoop)) else 2
+        return 3 if isinstance(exc, (InvalidCoding, SelfLoop)) else 2
     except (GraphParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

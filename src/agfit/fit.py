@@ -60,8 +60,8 @@ from .mseparation import is_maximal
 from .params import (
     IndexMap,
     ParamSet,
-    _block_psi,
     _cholesky,
+    _embed,
     _implied_sigma,
     _logdet,
     _spd_inverse,
@@ -452,7 +452,7 @@ class _Blocks:
             self.un_term = 0.0
 
     def sigma(self, beta: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        psi_m = _block_psi(beta.shape[0], self.un, self.disp, self.psi_un, omega)
+        psi_m = _embed(beta.shape[0], (self.un, self.psi_un), (self.disp, omega))
         return _implied_sigma(beta, psi_m)
 
     def loglik(self, n: int, beta: np.ndarray, k: np.ndarray, logdet_omega: float) -> float:

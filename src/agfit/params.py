@@ -160,17 +160,17 @@ def psi(params: ParamSet) -> np.ndarray:
     """
     un = list(params.un_map.vertices)
     psi_un = _spd_inverse(params.lam, "lam") if un else np.zeros((0, 0))
-    return _block_psi(
-        params.graph.n, un, list(params.disp_map.vertices), psi_un, params.omega
+    return _embed(
+        params.graph.n, (un, psi_un), (list(params.disp_map.vertices), params.omega)
     )
 
 
-def _block_psi(n, un, disp, psi_un, omega) -> np.ndarray:
+def _embed(n, *blocks) -> np.ndarray:
+    """n x n zeros with each ``(idx, block)`` written at rows and columns idx."""
     out = np.zeros((n, n))
-    if un:
-        out[np.ix_(un, un)] = psi_un
-    if disp:
-        out[np.ix_(disp, disp)] = omega
+    for idx, block in blocks:
+        if len(idx):
+            out[np.ix_(idx, idx)] = block
     return out
 
 

@@ -22,25 +22,55 @@ TAIL = 0
 ARROW = 1
 
 
-def _steps(g, v):
-    for w in sorted(g.ne(v)):
-        yield w, TAIL, TAIL
-    for w in sorted(g.ch(v)):
-        yield w, TAIL, ARROW
-    for w in sorted(g.pa(v)):
-        yield w, ARROW, TAIL
-    for w in sorted(g.sp(v)):
-        yield w, ARROW, ARROW
+_last = [None, None]  # the graph asked about last, and its _tables
+
+
+def _tables(g):
+    """Per vertex of ``g``, its steps and its ancestors, from the edge lists.
+
+    ``steps[v]`` lists ``(w, mark at v, mark at w)`` for every edge at v:
+    neighbours, children, parents, then spouses, each in ascending order.
+    ``anc[v]`` is v with every vertex that has a directed path into it.
+    Both are built once per graph: the tests ask many queries of a graph
+    in a row.
+    """
+    if _last[0] is not g:
+        n = g.n
+        steps = [[[] for _ in range(4)] for _ in range(n)]
+        parents = [[] for _ in range(n)]
+        for a, b in g.undirected_pairs:
+            steps[a][0].append((b, TAIL, TAIL))
+            steps[b][0].append((a, TAIL, TAIL))
+        for t, h in g.directed_pairs:
+            steps[t][1].append((h, TAIL, ARROW))
+            steps[h][2].append((t, ARROW, TAIL))
+            parents[h].append(t)
+        for a, b in g.bidirected_pairs:
+            steps[a][3].append((b, ARROW, ARROW))
+            steps[b][3].append((a, ARROW, ARROW))
+        steps = [[step for kind in by_kind for step in sorted(kind)] for by_kind in steps]
+        anc = []
+        for v in range(n):
+            seen, stack = {v}, [v]
+            while stack:
+                for u in parents[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            anc.append(frozenset(seen))
+        _last[:] = [g, (steps, anc)]
+    return _last[1]
 
 
 def brute_m_connecting(g: AncestralGraph, i: int, j: int, c) -> bool:
     """m-connection decided by enumerating simple paths."""
     c = frozenset(c)
-    anc_c = g.ancestors(c) if c else frozenset()
+    steps, anc = _tables(g)
+    anc_c = frozenset().union(*(anc[v] for v in c))
 
     def extend(v, mark_in, visited):
         # v is an intermediate vertex entered with mark_in
-        for w, mark_v, mark_w in _steps(g, v):
+        for w, mark_v, mark_w in steps[v]:
             if w in visited:
                 continue
             collider = mark_in == ARROW and mark_v == ARROW
@@ -55,7 +85,7 @@ def brute_m_connecting(g: AncestralGraph, i: int, j: int, c) -> bool:
                 return True
         return False
 
-    for w, _, mark_w in _steps(g, i):
+    for w, _, mark_w in steps[i]:
         if w == j:
             return True
         if extend(w, mark_w, {i, w}):

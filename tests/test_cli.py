@@ -9,7 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from agfit import AncestralGraph, bidirected_cycle_graph, sample_mvn, write_graph_csv
+from agfit import (
+    AncestralGraph,
+    bidirected_cycle_graph,
+    fit,
+    moth_graph,
+    moth_graph_extended,
+    moth_stats,
+    sample_mvn,
+    write_graph_csv,
+)
+from agfit import datasets
 from agfit.cli import main
 from agfit.datasets import data_path
 
@@ -198,6 +208,32 @@ class TestFitText:
         assert err == "error: covariance matrix is not finite\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "text, code, prefix",
+        [
+            ("0,1,0\n1,0,2\n0,2,0\n", 2, "graph error: "),
+            ("0,1,0\n0,0,1\n1,0,0\n", 2, "graph error: "),
+            ("0,1\n2,0\n", 3, "graph error: "),
+            ("1,0\n0,0\n", 3, "graph error: "),
+            ("0,x\n0,0\n", 3, "parse error: "),
+            (None, 3, "parse error: "),
+        ],
+        ids=[
+            "condition-one", "directed-cycle", "bad-coding", "self-loop",
+            "unparseable", "missing",
+        ],
+    )
+    def test_graph_errors(self, capsys, tmp_path, text, code, prefix):
+        path = tmp_path / "g.csv"
+        if text is not None:
+            path.write_text(text)
+        rc, out, err = run(
+            capsys, "fit", "--graph", str(path), "--cov", MOTH_CORR, "--n", "72"
+        )
+        assert rc == code
+        assert err.startswith(prefix)
+        assert out == ""
+
     def test_non_convergence_exit(self, capsys):
         rc, out, err = run(
             capsys,
@@ -248,6 +284,59 @@ class TestFitText:
         # the chain 0 - 1 - 2 matches s except at the missing edge
         want[0, 2] = want[2, 0] = s[0, 1] * s[1, 2] / s[1, 1]
         np.testing.assert_allclose(json.loads(out)["sigma_hat"], want, atol=1e-6)
+
+
+class TestBundledMoth:
+    # the published example, written out by hand: the bundled files are
+    # the one copy that the library and the CLI read
+    CORRELATION = [
+        [1.00, 0.40, 0.37, 0.18, -0.46, 0.29],
+        [0.40, 1.00, 0.02, -0.09, 0.02, 0.22],
+        [0.37, 0.02, 1.00, 0.05, -0.13, -0.24],
+        [0.18, -0.09, 0.05, 1.00, -0.47, 0.11],
+        [-0.46, 0.02, -0.13, -0.47, 1.00, -0.37],
+        [0.29, 0.22, -0.24, 0.11, -0.37, 1.00],
+    ]
+    LABELS = ("min", "max", "wind", "rain", "cloud", "moth")
+    MODEL_LABELS = ("max", "wind", "rain", "cloud", "moth")
+    UNDIRECTED = [("wind", "rain")]
+    DIRECTED = [("rain", "cloud"), ("cloud", "moth")]
+    BIDIRECTED = [("max", "cloud"), ("max", "moth")]
+
+    def _graph(self, directed):
+        index = self.MODEL_LABELS.index
+        pairs = lambda edges: [(index(a), index(b)) for a, b in edges]
+        return AncestralGraph(
+            5, pairs(self.UNDIRECTED), pairs(directed), pairs(self.BIDIRECTED),
+            labels=self.MODEL_LABELS,
+        )
+
+    def test_library_values(self):
+        corr = np.array(self.CORRELATION)
+        assert datasets.MOTH_CORRELATION.tobytes() == corr.tobytes()
+        assert datasets.MOTH_CORRELATION.shape == (6, 6)
+        assert datasets.MOTH_LABELS == self.LABELS
+        assert datasets.MOTH_MODEL_LABELS == self.MODEL_LABELS
+        assert datasets.MOTH_N == 72
+        stats = moth_stats()
+        assert stats.s.tobytes() == corr[1:, 1:].tobytes()
+        assert (stats.n, stats.p) == (72, 5)
+        assert moth_graph() == self._graph(self.DIRECTED)
+        assert moth_graph_extended() == self._graph(self.DIRECTED + [("wind", "moth")])
+
+    @pytest.mark.parametrize(
+        "path, graph", [(MOTH_GRAPH, moth_graph), (MOTH_GRAPH_EXT, moth_graph_extended)]
+    )
+    def test_cli_fit_matches_the_library(self, capsys, path, graph):
+        rc, out, _ = run(
+            capsys, "fit", "--graph", path, "--cov", MOTH_CORR, "--n", "72",
+            "--format", "json",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        res = fit(graph(), moth_stats())
+        assert doc["deviance"] == res.deviance
+        assert np.array(doc["sigma_hat"]).tobytes() == res.sigma_hat.tobytes()
 
 
 class TestFitJson:

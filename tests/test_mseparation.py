@@ -470,7 +470,7 @@ class TestSeparatingSetAgainstFlows:
             assert not all(st.holds for st in self._check(g))
 
 
-class TestTableCache:
+class TestRepeatedQueries:
     # every query reads the bitset table that the graph builds at construction
 
     @staticmethod
@@ -499,14 +499,14 @@ class TestTableCache:
                 )
                 assert first == again == fresh
 
-    def test_lazy_and_ignored_by_equality(self):
+    def test_a_queried_graph_equals_and_hashes_like_a_fresh_one(self):
         g = _district_chain_graph(40, seed=107, gadgets=(8,), deep=True)
         h = AncestralGraph(g.n, g.undirected_pairs, g.directed_pairs, g.bidirected_pairs)
         maximal_completion(h)
         assert g == h and hash(g) == hash(h)
         assert {g: 1}[h] == 1
 
-    def test_no_table_without_a_vertex_with_spouse_and_child(self):
+    def test_no_vertex_with_spouse_and_child_is_maximal_and_own_completion(self):
         # only a vertex with both a spouse and a child can start an
         # inseparable pair
         g = bidirected_cycle_graph(50)
